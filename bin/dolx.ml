@@ -17,6 +17,9 @@
      query-db     query a compiled database file
      stats-db     print statistics of a compiled database file
 
+   User errors (undeclared subject, malformed query or document,
+   unreadable file) print one "dolx: ..." line on stderr and exit 2.
+
    query and query-db accept --metrics[=json]: the default metrics
    registry and span trace are reset before the engine run and printed
    after it (JSON as the final stdout line).
@@ -155,15 +158,8 @@ let no_run_index_arg =
            ~doc:"Disable the per-subject access-run index; answer access \
                  checks from the physical pages.")
 
-(* --no-succinct / --no-path-summary: the ablation sides of
-   `bench succinct` — navigate via the pointer tree, and plan without
-   DataGuide candidate pruning. *)
-let no_succinct_arg =
-  Arg.(value & flag
-       & info [ "no-succinct" ]
-           ~doc:"Disable the succinct balanced-parentheses tree tier; \
-                 navigate via the pointer-based tree.")
-
+(* --no-path-summary: the ablation side of `bench summary` — plan
+   without DataGuide candidate pruning. *)
 let no_summary_arg =
   Arg.(value & flag
        & info [ "no-path-summary" ]
@@ -264,15 +260,15 @@ let print_stream tree store index q sem =
       pump ());
   Engine.stream_emitted st
 
-let query doc policy mode subject path_semantics no_run_index no_succinct
+let query doc policy mode subject path_semantics no_run_index
     no_summary metrics q =
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let s = subject_id subjects subject in
   let dol = Dol.of_labeling labeling in
   let store =
-    Store.create ~run_index:(not no_run_index) ~succinct:(not no_succinct)
-      ~path_summary:(not no_summary) tree dol
+    Store.create ~run_index:(not no_run_index) ~path_summary:(not no_summary)
+      tree dol
   in
   let index = Tag_index.build tree in
   let sem = if path_semantics then Engine.Secure_path s else Engine.Secure s in
@@ -289,7 +285,7 @@ let query_cmd =
   let q = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v (Cmd.info "query" ~doc:"Evaluate a twig query as a subject")
     Term.(const query $ doc_arg $ policy_arg $ mode_arg $ subject_arg $ path_sem
-          $ no_run_index_arg $ no_succinct_arg $ no_summary_arg $ metrics_arg $ q)
+          $ no_run_index_arg $ no_summary_arg $ metrics_arg $ q)
 
 (* --- query-batch --- *)
 
@@ -333,14 +329,14 @@ let semantics_name = function
   | Engine.Secure s -> Printf.sprintf "s%d" s
   | Engine.Secure_path s -> Printf.sprintf "s%d/path" s
 
-let query_batch doc policy mode jobs path_semantics no_run_index no_succinct
+let query_batch doc policy mode jobs path_semantics no_run_index
     no_summary metrics queries_file mix mix_seed =
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let dol = Dol.of_labeling labeling in
   let store =
-    Store.create ~run_index:(not no_run_index) ~succinct:(not no_succinct)
-      ~path_summary:(not no_summary) tree dol
+    Store.create ~run_index:(not no_run_index) ~path_summary:(not no_summary)
+      tree dol
   in
   let index = Tag_index.build tree in
   let batch =
@@ -397,7 +393,7 @@ let query_batch_cmd =
     (Cmd.info "query-batch"
        ~doc:"Evaluate a batch of twig queries on a worker-domain pool")
     Term.(const query_batch $ doc_arg $ policy_arg $ mode_arg $ jobs $ path_sem
-          $ no_run_index_arg $ no_succinct_arg $ no_summary_arg $ metrics_arg
+          $ no_run_index_arg $ no_summary_arg $ metrics_arg
           $ queries_file $ mix $ mix_seed)
 
 (* --- serve: the multi-tenant streaming query service --- *)
@@ -631,8 +627,7 @@ let connect socket tenant subject path_semantics mix mix_subjects seed duration
                   ((Unix.gettimeofday () -. t1) *. 1000.);
               if print_ids then
                 Printf.printf "%s\t%s\n" q
-                  (String.concat " "
-                     (List.rev_map string_of_int !ids |> List.rev))
+                  (String.concat " " (List.rev_map string_of_int !ids))
             end;
             finished
       in
@@ -863,11 +858,9 @@ let compile_db_cmd =
        ~doc:"Compile document + policy into a single-file secured database")
     Term.(const compile_db $ doc_arg $ policy_arg $ mode_arg $ output)
 
-let query_db db subject path_semantics no_run_index no_succinct no_summary
-    metrics q =
+let query_db db subject path_semantics no_run_index no_summary metrics q =
   let store, registries = Dolx_core.Db_file.load db in
   if no_run_index then Store.set_run_index store false;
-  if no_succinct then Store.set_succinct store false;
   if no_summary then Store.set_summary store false;
   let tree = Store.tree store in
   let index = Tag_index.build tree in
@@ -898,7 +891,7 @@ let query_db_cmd =
   Cmd.v
     (Cmd.info "query-db" ~doc:"Evaluate a twig query against a compiled database file")
     Term.(const query_db $ db $ subject_bit $ path_sem $ no_run_index_arg
-          $ no_succinct_arg $ no_summary_arg $ metrics_arg $ q)
+          $ no_summary_arg $ metrics_arg $ q)
 
 (* --- stats-db: database-file statistics --- *)
 
@@ -921,11 +914,7 @@ let stats_db db =
     (Dol.transition_count dol)
     (Dol.transition_density dol)
     (Dol.embedded_bytes dol);
-  let succ = Store.succinct store in
-  let module Succinct = Dolx_index.Succinct in
   let module Path_summary = Dolx_index.Path_summary in
-  Printf.printf "succinct tier: %d bits (%.2f bits/node)\n"
-    (Succinct.size_bits succ) (Succinct.bits_per_node succ);
   let ps = Store.path_summary store in
   let st = Tree_stats.compute tree in
   Printf.printf
@@ -1016,4 +1005,21 @@ let main_cmd =
       stats_db_cmd; explain_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* User errors — an undeclared subject or mode, a malformed query or
+   document, an unreadable file — end as one [dolx: ...] line on stderr
+   and exit 2, never as an uncaught-exception dump. *)
+let () =
+  let fail msg =
+    flush stdout;
+    prerr_endline
+      ("dolx: " ^ String.map (function '\n' -> ' ' | c -> c) msg);
+    exit 2
+  in
+  match Cmd.eval ~catch:false main_cmd with
+  | code -> exit code
+  | exception (Failure msg | Sys_error msg) -> fail msg
+  | exception Dolx_nok.Xpath.Parse_error { position; message } ->
+      fail (Printf.sprintf "malformed query at offset %d: %s" position message)
+  | exception Parser.Parse_error { position; message } ->
+      fail
+        (Printf.sprintf "malformed document at offset %d: %s" position message)

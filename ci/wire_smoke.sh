@@ -3,6 +3,8 @@
 # two OS-process mix clients for N seconds, plus one client that slams
 # its connection mid-stream.  Asserts:
 #   - both well-behaved clients finish and report DOLX-DONE with work done;
+#   - connect --print-ids lists one query's answers in strictly ascending
+#     document order, naming the same nodes `dolx query` prints;
 #   - the server's stats report pinned_readers 0 after the abort
 #     (disconnect-driven pin release observable from outside the process);
 #   - SIGTERM produces a clean shutdown (exit 0 and the shutdown line,
@@ -50,6 +52,34 @@ C2=$!
 # mid-run: a client that vanishes mid-stream with no goodbye
 sleep 1
 "$DOLX" connect --socket "$tmp/dolx.sock" --tenant tenant0 '//item' --abort-after 1
+
+# ids over the wire vs paths from the in-process CLI, as alice (bit 0)
+"$DOLX" connect --socket "$tmp/dolx.sock" --tenant tenant1 --subject 0 \
+  --print-ids '//item' > "$tmp/ids.txt"
+"$DOLX" query -d "$tmp/doc.xml" -p "$tmp/policy.txt" -s alice '//item' \
+  > "$tmp/paths.txt" 2>/dev/null
+python3 - "$tmp/doc.xml" "$tmp/ids.txt" "$tmp/paths.txt" <<'PY' \
+  || { echo "FAIL: connect --print-ids disagrees with dolx query" >&2; exit 1; }
+import sys
+import xml.etree.ElementTree as ET
+
+doc, ids_file, paths_file = sys.argv[1:]
+paths = []  # element paths in preorder = dolx node ids
+def walk(e, prefix):
+    p = prefix + "/" + e.tag
+    paths.append(p)
+    for c in e:
+        walk(c, p)
+walk(ET.parse(doc).getroot(), "")
+query, ids = open(ids_file).read().rstrip("\n").split("\t")
+ids = [int(i) for i in ids.split()]
+assert ids, "no answers"
+assert all(a < b for a, b in zip(ids, ids[1:])), f"ids not ascending: {ids[:8]}"
+want = [l.split(": ", 1)[0] for l in open(paths_file).read().splitlines()]
+got = [paths[i] for i in ids]
+assert got == want, f"{len(got)} wire answers vs {len(want)} from dolx query"
+print(f"print-ids: {len(ids)} answers to {query}, ascending, = dolx query")
+PY
 
 wait "$C1"
 wait "$C2"

@@ -2,16 +2,16 @@
 
     An executor owns a fixed pool of worker domains and one
     {!Dolx_core.Secure_store.reader} handle per worker slot: the handles
-    share the immutable evaluation state (succinct tree, DOL, page
-    layout, codebook, tag index) and the simulated disk (which
-    serializes physical I/O internally) while keeping private buffer
-    pools, scan cursors and statistics — no lock is taken on the
-    evaluation hot path.
+    share the immutable evaluation state (tree, DOL, page layout,
+    codebook, tag index) and the simulated disk (which serializes
+    physical I/O internally) while keeping private buffer pools, scan
+    cursors and statistics — no lock is taken on the evaluation hot
+    path.
 
-    Results are byte-identical to sequential {!Engine.run} on the same
-    inputs: batch results are collected in submission order, and
-    intra-query candidate chunks are merged with the engine's own
-    sort-and-dedup.  The reader handles are epoch-pinned snapshots taken
+    Parallelism is inter-query: each query of a batch runs whole on one
+    worker through {!Engine.run}, so results are byte-identical to
+    sequential evaluation and are collected in submission order.  The
+    reader handles are epoch-pinned snapshots taken
     at {!create}, so store updates ({!Dolx_core.Secure_store.with_write}
     windows) may run concurrently with evaluation — the executor keeps
     answering from its creation-time state until shut down. *)
@@ -67,31 +67,6 @@ val run_batch : t -> (Dolx_nok.Pattern.t * Engine.semantics) list -> Engine.resu
 (** {!run_batch} over XPath strings.
     @raise Dolx_nok.Xpath.Parse_error on a malformed query. *)
 val query_batch : t -> (string * Engine.semantics) list -> Engine.result list
-
-(** {1 Intra-query parallelism} *)
-
-(** Evaluate one query with each segment's candidate roots partitioned
-    into contiguous document-order chunks across the pool; chunk outputs
-    are merged (sorted, deduplicated) before each structural join.
-    Answers and statistics equal [Engine.run] on the same input. *)
-val run : t -> Dolx_nok.Pattern.t -> Engine.semantics -> Engine.result
-
-(** {!run} on an XPath string. *)
-val query : t -> string -> Engine.semantics -> Engine.result
-
-(** {1 Streaming evaluation} *)
-
-(** Pooled counterpart of {!Engine.stream}: staging fans every non-final
-    segment out across the pool; the last segment's candidate roots are
-    then evaluated lazily in pool-sized groups as the cursor is pulled.
-    Drained answers equal {!run}'s byte for byte ([jobs = 1] degenerates
-    to the sequential engine).  The stream borrows the executor's
-    readers — exhaust or {!Engine.stream_close} it before {!shutdown}. *)
-val stream :
-  ?chunk:int -> t -> Dolx_nok.Pattern.t -> Engine.semantics -> Engine.stream
-
-(** {!stream} on an XPath string. *)
-val stream_query : ?chunk:int -> t -> string -> Engine.semantics -> Engine.stream
 
 (** {1 Statistics} *)
 

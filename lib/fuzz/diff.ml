@@ -16,7 +16,6 @@ module Bitset = Dolx_util.Bitset
 
 type config = {
   run_index : bool;
-  succinct : bool;
   summary : bool;
   jobs : int;
   faults : bool;
@@ -26,7 +25,6 @@ type config = {
 let base_config =
   {
     run_index = true;
-    succinct = true;
     summary = true;
     jobs = 1;
     faults = false;
@@ -37,9 +35,7 @@ let lattice =
   [
     base_config;
     { base_config with run_index = false };
-    { base_config with succinct = false };
     { base_config with summary = false };
-    { base_config with succinct = false; summary = false };
     { base_config with jobs = 4 };
     { base_config with faults = true };
     { base_config with recovery = true };
@@ -51,17 +47,15 @@ let lattice =
 let config_for_case i =
   let i = abs i in
   let run_index = i land 1 = 0 in
-  let succinct = (i lsr 1) land 1 = 0 in
-  let summary = (i lsr 2) land 1 = 0 in
+  let summary = (i lsr 1) land 1 = 0 in
   match i mod 3 with
-  | 0 -> { base_config with run_index; succinct; summary; jobs = 4 }
-  | 1 -> { base_config with run_index; succinct; summary; faults = true }
-  | _ -> { base_config with run_index; succinct; summary; recovery = true }
+  | 0 -> { base_config with run_index; summary; jobs = 4 }
+  | 1 -> { base_config with run_index; summary; faults = true }
+  | _ -> { base_config with run_index; summary; recovery = true }
 
 let config_name c =
-  Printf.sprintf "runs=%s,succ=%s,sum=%s,jobs=%d,faults=%s,recovery=%s"
+  Printf.sprintf "runs=%s,sum=%s,jobs=%d,faults=%s,recovery=%s"
     (if c.run_index then "on" else "off")
-    (if c.succinct then "on" else "off")
     (if c.summary then "on" else "off")
     c.jobs
     (if c.faults then "on" else "off")
@@ -83,6 +77,8 @@ type st = {
   mutable store : Store.t;
   mutable index : Tag_index.t;
   torn_rng : Prng.t;  (* extra tear points for update_images *)
+  stream_rng : Prng.t;  (* chunk sizes for the streamed drains *)
+  early_close : bool;  (* odd seeds close each stream after one chunk *)
   fault_seed : int;
 }
 
@@ -95,7 +91,6 @@ let install_faults st =
    (as Update's contract requires) and the tag index. *)
 let apply_flags cfg store =
   Store.set_run_index store cfg.run_index;
-  Store.set_succinct store cfg.succinct;
   Store.set_summary store cfg.summary
 
 let rebuilt st dol' =
@@ -167,7 +162,7 @@ let check_query st tag (q : Gen.query) =
       with_runs_toggled st (fun () -> engine " (runs toggled)"))
     (all_sems st)
 
-(* Executor batch (inter-query) plus one intra-query parallel run. *)
+(* Executor batch: every (query, semantics) pair across the pool. *)
 let check_exec st tag =
   if st.cfg.jobs > 1 then
     let tasks =
@@ -185,13 +180,48 @@ let check_exec st tag =
                 failf tag "batch %s under %s: executor %s, oracle %s"
                   (Gen.query_to_string q) (sem_name sem) (ints r.Engine.answers)
                   (ints want))
-            tasks results;
-          let q, sem = List.hd tasks in
+            tasks results)
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* The streaming path that serves the CLI, [Serve] and the wire: every
+   (query, semantics) pair pulled through [Engine.stream] with a chunk
+   size drawn from the case's PRNG.  A full drain must equal the oracle
+   chunk by chunk; an early close must have emitted exactly the oracle's
+   prefix and then stay closed. *)
+let check_stream st tag =
+  List.iter
+    (fun (q : Gen.query) ->
+      List.iter
+        (fun sem ->
           let want = Oracle.eval st.tree (oracle_sem st sem) q.Gen.pat in
-          let got = (Exec.run ex q.Gen.pat sem).Engine.answers in
-          if got <> want then
-            failf tag "intra-query %s under %s: executor %s, oracle %s"
-              (Gen.query_to_string q) (sem_name sem) (ints got) (ints want))
+          let chunk = 1 + Prng.int st.stream_rng 8 in
+          let cur = Engine.stream ~chunk st.store st.index q.Gen.pat sem in
+          let fail what got =
+            failf tag "%s %s under %s (chunk %d): stream %s, oracle %s" what
+              (Gen.query_to_string q) (sem_name sem) chunk (ints got) (ints want)
+          in
+          if st.early_close then begin
+            let first = Engine.stream_next cur in
+            Engine.stream_close cur;
+            if first <> take chunk want then fail "closed" first;
+            if Engine.stream_next cur <> [] then fail "reopened" first
+          end
+          else begin
+            let rec drain acc =
+              match Engine.stream_next cur with
+              | [] -> List.concat (List.rev acc)
+              | c ->
+                  if List.length c > chunk then fail "oversized chunk" c;
+                  drain (c :: acc)
+            in
+            let got = drain [] in
+            if got <> want then fail "drained" got
+          end)
+        (all_sems st))
+    st.case.Gen.queries
 
 (* --- trace application --- *)
 
@@ -590,7 +620,7 @@ let check_params cfg (params : Gen.params) =
     Dol.validate dol;
     let store =
       Store.create ~page_size:case.Gen.page_size ~pool_capacity:8 ~run_index:cfg.run_index
-        ~succinct:cfg.succinct ~path_summary:cfg.summary case.Gen.tree dol
+        ~path_summary:cfg.summary case.Gen.tree dol
     in
     let st =
       {
@@ -601,6 +631,8 @@ let check_params cfg (params : Gen.params) =
         store;
         index = Tag_index.build case.Gen.tree;
         torn_rng = Prng.create (params.Gen.seed lxor 0x70A2);
+        stream_rng = Prng.create (params.Gen.seed lxor 0x57E4);
+        early_close = params.Gen.seed land 1 = 1;
         fault_seed = params.Gen.seed lxor 0xFA17;
       }
     in
@@ -608,13 +640,15 @@ let check_params cfg (params : Gen.params) =
     check_matrix st "compile.matrix";
     List.iteri (fun i q -> check_query st (Printf.sprintf "query[%d]" i) q) case.Gen.queries;
     check_exec st "exec";
+    check_stream st "stream";
     List.iteri (fun i op -> apply_op st i op) case.Gen.trace;
     if case.Gen.trace <> [] then begin
       check_matrix st "post-trace.matrix";
       List.iteri
         (fun i q -> check_query st (Printf.sprintf "post-trace.query[%d]" i) q)
         case.Gen.queries;
-      check_exec st "post-trace.exec"
+      check_exec st "post-trace.exec";
+      check_stream st "post-trace.stream"
     end;
     (* run the schedules LAST: both mutate state (linearizable folds its
        updates into the oracle), so running them here keeps the rest of

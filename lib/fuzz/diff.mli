@@ -7,9 +7,11 @@
     access check ([Secure_store.accessible] / [accessible_with_skip],
     with the run index both as configured and toggled), query answers
     under all three semantics ([Engine.run] vs brute force, again on
-    both run-index settings), the update trace ([Update] accessibility /
-    structural / subject-set operations against the oracle matrix), and
-    per-configuration extras: a [jobs]-wide executor batch, transient
+    both run-index settings), streamed drains ([Engine.stream] with
+    PRNG-drawn chunk sizes, closed after one chunk on odd seeds), the
+    update trace ([Update] accessibility / structural / subject-set
+    operations against the oracle matrix), and per-configuration
+    extras: a [jobs]-wide executor batch, transient
     fault injection, and crash-recovery replay of accessibility updates
     through [Db_file.update_images] (every crash image must load to
     exactly the pre- or exactly the post-update matrix). *)
@@ -17,7 +19,6 @@
 type config = {
   run_index : bool;  (** store-level run index setting (the opposite is
                          also probed inside every check) *)
-  succinct : bool;   (** navigation through the succinct BP tier *)
   summary : bool;    (** DataGuide candidate-class pruning + the
                          summary-path plan in the engine *)
   jobs : int;        (** > 1 adds an executor-batch cross-check *)
@@ -29,9 +30,9 @@ type config = {
 (** Plain sequential configuration: run index on, no extras. *)
 val base_config : config
 
-(** The checked points of the lattice (run index on/off, succinct
-    on/off, summary on/off, jobs 1/4, faults, recovery) — used when
-    replaying corpus seeds. *)
+(** The checked points of the lattice (run index on/off, summary
+    on/off, jobs 1/4, faults, recovery) — used when replaying corpus
+    seeds. *)
 val lattice : config list
 
 (** Deterministic per-case rotation through the lattice used by the

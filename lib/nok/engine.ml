@@ -297,11 +297,10 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    [Nok_match.path_clear], which enforces exactly the ε-STD condition
    (and is a no-op outside path semantics).
 
-   [summary_path_filter] returns the plan as data — the sorted
-   candidate list and the qualification predicate — so the streaming
-   evaluator can apply the filter lazily, one candidate at a time,
-   instead of materializing the whole answer list.  [try_summary_path]
-   is the eager composition the materializing paths use. *)
+   The plan is returned as data — the sorted candidate list and the
+   qualification predicate — so [stream] can apply the filter lazily,
+   one candidate at a time, while [run] filters eagerly.  [None] when
+   the trunk shape does not admit the plan. *)
 let summary_path_filter ?value_index ~summary store index mode semantics
     (plan : Decompose.plan) scanned =
   let steps =
@@ -378,15 +377,6 @@ let summary_path_filter ?value_index ~summary store index mode semantics
     end
   end
 
-let try_summary_path ?value_index ~summary store index mode semantics plan
-    scanned =
-  match
-    summary_path_filter ?value_index ~summary store index mode semantics plan
-      scanned
-  with
-  | None -> None
-  | Some (cands, keep) -> Some (List.filter keep cands)
-
 (* Candidate roots of the plan's first segment: the document root for a
    child entry, class-filtered + run-pruned index postings for a
    descendant entry. *)
@@ -405,19 +395,30 @@ let first_roots ?value_index ?summary store index semantics
           | s :: _ -> seed_candidates ?value_index ?summary store index semantics s
           | [] -> []))
 
-(* The segment/join pipeline, stopped just short of the last segment:
-   either the answers are already decided ([Done]), or evaluation has
-   narrowed to the last segment over its sorted candidate roots
-   ([Last]).  [run] finishes with one [eval_segment] call; [stream]
-   finishes by pulling the same roots through the cursor — both see
-   exactly the intermediate state this function computed, so their
-   answers and statistics agree by construction. *)
+(* The one evaluation driver: chooses the plan and runs it up to the
+   point where [run] and [stream] part ways.  Either the answers are
+   already decided ([Done]), or the summary-path plan applies and the
+   answers are the sorted candidates its predicate keeps ([Filter]), or
+   the segment/join pipeline has narrowed evaluation to the last segment
+   over its sorted candidate roots ([Last]).  [run] finishes eagerly,
+   [stream] pulls the same state through the cursor — both see exactly
+   what this function computed, so their answers and statistics agree by
+   construction. *)
 type staged =
   | Done of int list
+  | Filter of int list * (int -> bool)
   | Last of Decompose.segment * int list
 
-let stage ?value_index ?summary store index mode semantics ~scanned ~joins
+let stage ?value_index store index mode semantics ~scanned ~joins pattern
     (plan : Decompose.plan) =
+  let summary = summary_analysis store pattern semantics in
+  let path_plan =
+    match summary with
+    | Some sp ->
+        summary_path_filter ?value_index ~summary:sp store index mode semantics
+          plan scanned
+    | None -> None
+  in
   let rec go segments roots =
     match segments with
     | [] -> Done []
@@ -452,32 +453,24 @@ let stage ?value_index ?summary store index mode semantics ~scanned ~joins
           go rest surviving
         end
   in
-  go plan.Decompose.segments
-    (first_roots ?value_index ?summary store index semantics plan)
+  match path_plan with
+  | Some (cands, keep) -> Filter (cands, keep)
+  | None ->
+      go plan.Decompose.segments
+        (first_roots ?value_index ?summary store index semantics plan)
 
 let run ?(options = default_options) ?value_index store index pattern semantics =
   Trace.with_span "engine.query" @@ fun () ->
   let plan = Decompose.plan pattern in
   let mode = match_mode options semantics in
-  let summary = summary_analysis store pattern semantics in
   let scanned = ref 0 in
   let joins = ref 0 in
-  let staged =
-    match summary with
-    | Some sp -> (
-        match
-          try_summary_path ?value_index ~summary:sp store index mode semantics
-            plan scanned
-        with
-        | Some answers -> Done answers
-        | None ->
-            stage ?value_index ?summary store index mode semantics ~scanned
-              ~joins plan)
-    | None -> stage ?value_index store index mode semantics ~scanned ~joins plan
-  in
   let answers =
-    match staged with
+    match
+      stage ?value_index store index mode semantics ~scanned ~joins pattern plan
+    with
     | Done answers -> answers
+    | Filter (cands, keep) -> List.filter keep cands
     | Last (seg, roots) ->
         Trace.with_span "engine.segment" @@ fun () ->
         eval_segment store index mode seg roots scanned
@@ -519,16 +512,6 @@ let merge_uniq xs ys =
   in
   go [] xs ys
 
-let rec take_n n l =
-  if n = 0 then ([], l)
-  else match l with [] -> ([], []) | x :: rest ->
-    let taken, rem = take_n (n - 1) rest in
-    (x :: taken, rem)
-
-type stream_source =
-  | Filtered of int list * (int -> bool)
-  | Tail of { roots : int list; group : int; eval : int list -> int list }
-
 type stream = {
   st_chunk : int;
   st_segments : int;
@@ -540,37 +523,19 @@ type stream = {
   mutable st_done : bool; (* terminal: counters flushed, no more chunks *)
 }
 
+(* Where the answers come from: a sorted candidate list walked through
+   a qualification predicate, or the last segment evaluated one
+   candidate root per refill. *)
 and src =
   | S_filter of int list * (int -> bool)
   | S_tail of tail
   | S_end
 
 and tail = {
-  tl_eval : int list -> int list;
-  tl_group : int;
+  tl_eval : int -> int list;     (* one root's sorted answers *)
   mutable tl_roots : int list;   (* remaining candidate roots, ascending *)
   mutable tl_pending : int list; (* sorted answers >= the next barrier *)
 }
-
-let stream_of_source ?(chunk = 256) ~segments ~scanned ~joins source =
-  if chunk < 1 then invalid_arg "Engine.stream: chunk must be >= 1";
-  let src =
-    match source with
-    | Filtered (cands, keep) -> S_filter (cands, keep)
-    | Tail { roots; group; eval } ->
-        if group < 1 then invalid_arg "Engine.stream: group must be >= 1";
-        S_tail { tl_eval = eval; tl_group = group; tl_roots = roots; tl_pending = [] }
-  in
-  {
-    st_chunk = chunk;
-    st_segments = segments;
-    st_scanned = scanned;
-    st_joins = joins;
-    st_src = src;
-    st_emitted = 0;
-    st_peak = 0;
-    st_done = false;
-  }
 
 (* Flush the stream's totals into the process counters exactly once —
    at exhaustion, or at [stream_close] for a stream abandoned early (the
@@ -623,10 +588,9 @@ let stream_next st =
                     (* pending is empty: everything below max_int was
                        emittable and the branch above drained it *)
                     st.st_src <- S_end
-                | _ ->
-                    let group, rest = take_n t.tl_group t.tl_roots in
+                | r :: rest ->
                     t.tl_roots <- rest;
-                    t.tl_pending <- merge_uniq t.tl_pending (t.tl_eval group);
+                    t.tl_pending <- merge_uniq t.tl_pending (t.tl_eval r);
                     st.st_peak <-
                       max st.st_peak (!n + List.length t.tl_pending);
                     fill ()))
@@ -655,39 +619,40 @@ let stream_joins st = !(st.st_joins)
 
 let stream_segments st = st.st_segments
 
-let stream ?(options = default_options) ?value_index ?chunk store index pattern
-    semantics =
+let stream ?(options = default_options) ?value_index ?(chunk = 256) store index
+    pattern semantics =
+  if chunk < 1 then invalid_arg "Engine.stream: chunk must be >= 1";
   let plan = Decompose.plan pattern in
   let mode = match_mode options semantics in
-  let summary = summary_analysis store pattern semantics in
   let scanned = ref 0 in
   let joins = ref 0 in
-  let staged_source () =
-    match stage ?value_index ?summary store index mode semantics ~scanned ~joins plan with
-    | Done answers -> Filtered (answers, fun _ -> true)
+  let src =
+    Trace.with_span "engine.stream_stage" @@ fun () ->
+    match
+      stage ?value_index store index mode semantics ~scanned ~joins pattern plan
+    with
+    | Done answers -> S_filter (answers, fun _ -> true)
+    | Filter (cands, keep) -> S_filter (cands, keep)
     | Last (seg, roots) ->
-        (* group 1: pending never holds more than one root's overlap *)
-        Tail
+        (* one root per refill: pending never holds more than one
+           root's overlap past the barrier *)
+        S_tail
           {
-            roots;
-            group = 1;
-            eval = (fun g -> eval_segment store index mode seg g scanned);
+            tl_eval = (fun r -> eval_segment store index mode seg [ r ] scanned);
+            tl_roots = roots;
+            tl_pending = [];
           }
   in
-  let source =
-    Trace.with_span "engine.stream_stage" @@ fun () ->
-    match summary with
-    | Some sp -> (
-        match
-          summary_path_filter ?value_index ~summary:sp store index mode
-            semantics plan scanned
-        with
-        | Some (cands, keep) -> Filtered (cands, keep)
-        | None -> staged_source ())
-    | None -> staged_source ()
-  in
-  stream_of_source ?chunk ~segments:(Decompose.segment_count plan) ~scanned
-    ~joins source
+  {
+    st_chunk = chunk;
+    st_segments = Decompose.segment_count plan;
+    st_scanned = scanned;
+    st_joins = joins;
+    st_src = src;
+    st_emitted = 0;
+    st_peak = 0;
+    st_done = false;
+  }
 
 (* Drain a stream to a list — the reference the equality tests compare
    against [run]. *)

@@ -2,8 +2,7 @@
 
     The streaming cursor must be byte-identical to materialized
     evaluation — across all three semantics, quarantined stores, the
-    succinct/run-index/summary toggle lattice, chunk sizes, and the
-    4-domain pooled path — while keeping buffered-result memory bounded
+    run-index/summary toggle lattice and chunk sizes — while keeping buffered-result memory bounded
     and releasing its epoch pin on early close.  The service must be
     answer-correct per tenant, weighted-fair under flooding, and shed
     (never drop) work past the admission bound. *)
@@ -17,7 +16,6 @@ module Epoch = Dolx_storage.Epoch
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
 module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
@@ -107,32 +105,22 @@ let test_stream_vs_run_quarantined () =
         xpath sem)
     (queries ~subjects:4 ~seed:900)
 
-(* The succinct / run-index / path-summary toggle lattice: the stream
-   must agree with run under every handle configuration. *)
+(* The run-index / path-summary toggle lattice: the stream must agree
+   with run under every handle configuration. *)
 let test_stream_toggle_lattice () =
   let store, index = make_store 55 in
-  let combos =
-    [
-      (true, true, true);
-      (false, true, true);
-      (true, false, true);
-      (true, true, false);
-      (false, false, false);
-    ]
-  in
+  let combos = [ (true, true); (false, true); (true, false); (false, false) ] in
   List.iter
-    (fun (succinct, runs, summary) ->
-      Store.set_succinct store succinct;
+    (fun (runs, summary) ->
       Store.set_run_index store runs;
       Store.set_summary store summary;
       List.iteri
         (fun i (xpath, sem) ->
           stream_vs_run
-            (Printf.sprintf "lattice(%b,%b,%b) q%d" succinct runs summary i)
+            (Printf.sprintf "lattice(%b,%b) q%d" runs summary i)
             store index xpath sem)
         (queries ~subjects:6 ~seed:414))
     combos;
-  Store.set_succinct store true;
   Store.set_run_index store true;
   Store.set_summary store true
 
@@ -179,24 +167,6 @@ let test_stream_early_close () =
   check Alcotest.int "one query counted, once"
     (q_before + 1)
     (Dolx_obs.Metrics.counter_value "engine.queries")
-
-(* --- pooled streaming: jobs=4 must equal the sequential engine --- *)
-
-let test_exec_stream_matches_sequential () =
-  let store, index = make_store 42 in
-  Exec.with_executor ~jobs:4 store index (fun exec ->
-      List.iteri
-        (fun i (xpath, sem) ->
-          let expected = Engine.query store index xpath sem in
-          let st = Exec.stream_query ~chunk:16 exec xpath sem in
-          let got = Engine.stream_collect st in
-          check Alcotest.(list int)
-            (Printf.sprintf "exec stream q%d %s" i xpath)
-            expected.Engine.answers got;
-          check Alcotest.int
-            (Printf.sprintf "exec stream q%d scanned" i)
-            expected.Engine.candidates_scanned (Engine.stream_scanned st))
-        (queries ~subjects:6 ~seed:4242))
 
 (* --- the service: per-tenant answer correctness --- *)
 
@@ -450,8 +420,6 @@ let suite =
       test_stream_chunk_sizes;
     Alcotest.test_case "early close flushes counters once" `Quick
       test_stream_early_close;
-    Alcotest.test_case "exec stream jobs=4 = sequential" `Quick
-      test_exec_stream_matches_sequential;
     Alcotest.test_case "service: per-tenant answers correct" `Quick
       test_serve_answers;
     Alcotest.test_case "service: worker error surfaces via ticket" `Quick
