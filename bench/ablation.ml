@@ -16,7 +16,6 @@ module Store = Dolx_core.Secure_store
 module Update = Dolx_core.Update
 module Bitset = Dolx_util.Bitset
 module Prng = Dolx_util.Prng
-module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
 module Buffer_pool = Dolx_storage.Buffer_pool
 module Tag_index = Dolx_index.Tag_index
@@ -80,17 +79,16 @@ let run_page_size () =
            in
            let pattern = Dolx_nok.Xpath.parse "//item//emph" in
            Buffer_pool.clear (Store.pool store);
-           Disk.reset_stats (Store.disk store);
+           Metrics.reset Metrics.default;
            let t0 = Unix.gettimeofday () in
            ignore (Engine.run store index pattern (Engine.Secure 0));
            let wall = Unix.gettimeofday () -. t0 in
-           let t = wall +. (Disk.simulated_us (Store.disk store) /. 1.0e6) in
-           let io = Store.io_stats store in
+           let t = wall +. sim_io_s () in
            [
              fmt_bytes page_size;
              fmt_i (Nok_layout.page_count (Store.layout store));
              fmt_f (t *. 1000.0);
-             fmt_i io.Store.pool_misses;
+             fmt_i (Metrics.counter_value "pool.misses");
              fmt_bytes (Nok_layout.header_table_bytes (Store.layout store));
            ])
          [ 512; 1024; 2048; 4096; 8192; 16384 ]
@@ -113,7 +111,7 @@ let run_fill_factor () =
            let store = Store.create ~page_size:1024 ~fill tree dol in
            let before = Nok_layout.page_count (Store.layout store) in
            let rng = Prng.create 36 in
-           Disk.reset_stats (Store.disk store);
+           Metrics.reset Metrics.default;
            for _ = 1 to 2000 do
              let v = Prng.int rng n in
              ignore
@@ -121,13 +119,12 @@ let run_fill_factor () =
                   ~grant:(Prng.bool rng ~p:0.5) v)
            done;
            let after = Nok_layout.page_count (Store.layout store) in
-           let ds = Disk.stats (Store.disk store) in
            [
              Printf.sprintf "%.2f" fill;
              fmt_i before;
              fmt_i after;
              fmt_i (after - before);
-             fmt_i ds.Disk.writes;
+             fmt_i (Metrics.counter_value "disk.writes");
            ])
          [ 0.6; 0.75; 0.9; 1.0 ]
   in
@@ -162,16 +159,15 @@ let run_secure_std () =
              Store.create ~run_index:false ~path_summary:false ~page_size:4096 ~pool_capacity:128
                tree dol
            in
-           Store.reset_stats store;
+           Metrics.reset Metrics.default;
            let (pairs : (int * int) list), secs =
              time ~reps:3 (fun () -> f store)
            in
-           let io = Store.io_stats store in
            [
              name;
              fmt_i (List.length pairs);
-             fmt_i io.Store.access_checks;
-             fmt_i io.Store.page_touches;
+             fmt_i (Metrics.counter_value "store.access_checks");
+             fmt_i (Metrics.counter_value "pool.touches");
              fmt_f (secs *. 1000.0);
            ])
          [

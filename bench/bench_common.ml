@@ -56,3 +56,8 @@ let fmt_bytes b =
   if b >= 1 lsl 20 then Printf.sprintf "%.2fMB" (float_of_int b /. 1048576.0)
   else if b >= 1024 then Printf.sprintf "%.1fKB" (float_of_int b /. 1024.0)
   else Printf.sprintf "%dB" b
+
+module Metrics = Dolx_obs.Metrics
+
+(** Simulated disk time since the last [Metrics.reset], in seconds. *)
+let sim_io_s () = Metrics.gauge_value (Metrics.gauge "disk.simulated_us") /. 1e6

@@ -15,7 +15,6 @@
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
-module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
@@ -67,14 +66,15 @@ let setup () =
 (* One measured run: cold buffer pool, wall time + simulated disk time. *)
 let run_once store index pattern sem =
   Buffer_pool.clear (Store.pool store);
-  Disk.reset_stats (Store.disk store);
-  Store.reset_stats store;
+  Metrics.reset Metrics.default;
   let t0 = Unix.gettimeofday () in
   let r = Engine.run store index pattern sem in
   let wall = Unix.gettimeofday () -. t0 in
-  let io = Store.io_stats store in
-  let disk_s = Disk.simulated_us (Store.disk store) /. 1.0e6 in
-  (r, wall +. disk_s, io)
+  let io =
+    ( Metrics.counter_value "pool.misses",
+      Metrics.counter_value "store.header_skips" )
+  in
+  (r, wall +. sim_io_s (), io)
 
 let best_of ~reps store index pattern sem =
   let best = ref infinity and result = ref None and io = ref None in
@@ -97,10 +97,10 @@ let run_queries title queries semantics_of_secure =
           "ans(sec)"; "answer ratio"; "misses NoK"; "misses sec"; "hdr skips" ]
         :: List.map
              (fun (_, frac, store) ->
-               let plain, t_plain, io_plain =
+               let plain, t_plain, (misses_plain, _) =
                  best_of ~reps:3 store index pattern Engine.Insecure
                in
-               let sec, t_sec, io_sec =
+               let sec, t_sec, (misses_sec, skips_sec) =
                  best_of ~reps:3 store index pattern (semantics_of_secure ())
                in
                let n_plain = List.length plain.Engine.answers in
@@ -113,9 +113,9 @@ let run_queries title queries semantics_of_secure =
                  fmt_i n_plain;
                  fmt_i n_sec;
                  fmt_f2 (float_of_int n_sec /. float_of_int (max 1 n_plain));
-                 fmt_i io_plain.Store.pool_misses;
-                 fmt_i io_sec.Store.pool_misses;
-                 fmt_i io_sec.Store.header_skips;
+                 fmt_i misses_plain;
+                 fmt_i misses_sec;
+                 fmt_i skips_sec;
                ])
              stores
       in

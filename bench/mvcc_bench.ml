@@ -75,8 +75,7 @@ let setup () =
 let run_point store index batch ~with_writer =
   let exec = Exec.create ~pool_capacity:reader_pool_capacity ~jobs store index in
   ignore (Exec.run_batch exec [ List.hd batch ]);
-  Exec.reset_stats exec;
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   let stop = Atomic.make false in
   let updates = Atomic.make 0 in
   let writer =
@@ -101,7 +100,7 @@ let run_point store index batch ~with_writer =
   let wall = Unix.gettimeofday () -. t0 in
   Atomic.set stop true;
   Option.iter Domain.join writer;
-  let sim_io = Disk.simulated_us (Store.disk store) /. 1e6 in
+  let sim_io = sim_io_s () in
   Exec.shutdown exec;
   (List.map (fun r -> r.Engine.answers) results, wall, sim_io, Atomic.get updates)
 

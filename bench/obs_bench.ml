@@ -11,7 +11,7 @@
 
     - Breakdown: re-run each query with metrics + span tracing on and
       emit [BENCH_obs.json]: per query, the answer count, wall time, the
-      legacy I/O counters, the engine shape (segments / joins /
+      I/O counters, the engine shape (segments / joins /
       candidates), the span tree and a full registry snapshot. *)
 
 module Tree = Dolx_xml.Tree
@@ -112,24 +112,23 @@ let breakdown store index =
     List.map
       (fun (name, q, pattern) ->
         Buffer_pool.clear (Store.pool store);
-        Store.reset_stats store;
         Metrics.reset Metrics.default;
         Trace.reset ();
         let t0 = Unix.gettimeofday () in
         let r = Engine.run store index pattern (Engine.Secure 0) in
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let io = Store.io_stats store in
+        let c = Metrics.counter_value in
         let row =
           [
             name;
             fmt_i (List.length r.Engine.answers);
             fmt_f wall_ms;
-            fmt_i io.Store.page_touches;
-            fmt_i io.Store.pool_hits;
-            fmt_i io.Store.pool_misses;
-            fmt_i io.Store.disk_reads;
-            fmt_i io.Store.access_checks;
-            fmt_i io.Store.header_skips;
+            fmt_i (c "pool.touches");
+            fmt_i (c "pool.hits");
+            fmt_i (c "pool.misses");
+            fmt_i (c "disk.reads");
+            fmt_i (c "store.access_checks");
+            fmt_i (c "store.header_skips");
             fmt_i r.Engine.segments;
             fmt_i r.Engine.joins;
             fmt_i r.Engine.candidates_scanned;
@@ -142,13 +141,13 @@ let breakdown store index =
               ("query", Json.Str q);
               ("answers", Json.num_of_int (List.length r.Engine.answers));
               ("wall_ms", Json.Num wall_ms);
-              ("page_touches", Json.num_of_int io.Store.page_touches);
-              ("pool_hits", Json.num_of_int io.Store.pool_hits);
-              ("pool_misses", Json.num_of_int io.Store.pool_misses);
-              ("disk_reads", Json.num_of_int io.Store.disk_reads);
-              ("access_checks", Json.num_of_int io.Store.access_checks);
-              ("header_skips", Json.num_of_int io.Store.header_skips);
-              ("codebook_lookups", Json.num_of_int io.Store.codebook_lookups);
+              ("page_touches", Json.num_of_int (c "pool.touches"));
+              ("pool_hits", Json.num_of_int (c "pool.hits"));
+              ("pool_misses", Json.num_of_int (c "pool.misses"));
+              ("disk_reads", Json.num_of_int (c "disk.reads"));
+              ("access_checks", Json.num_of_int (c "store.access_checks"));
+              ("header_skips", Json.num_of_int (c "store.header_skips"));
+              ("codebook_lookups", Json.num_of_int (c "store.codebook_lookups"));
               ("segments", Json.num_of_int r.Engine.segments);
               ("joins", Json.num_of_int r.Engine.joins);
               ("candidates_scanned", Json.num_of_int r.Engine.candidates_scanned);

@@ -91,12 +91,11 @@ let run_point store index batch jobs =
   (* warm-up: pay domain start-up and first-touch costs off the clock,
      then reset so the measured run starts from cold private pools *)
   ignore (Exec.run_batch exec [ List.hd batch ]);
-  Exec.reset_stats exec;
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   let t0 = Unix.gettimeofday () in
   let results = Exec.run_batch exec batch in
   let wall = Unix.gettimeofday () -. t0 in
-  let sim_io = Disk.simulated_us (Store.disk store) /. 1e6 in
+  let sim_io = sim_io_s () in
   Exec.shutdown exec;
   (results, wall, sim_io)
 

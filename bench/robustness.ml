@@ -38,11 +38,12 @@ let setup () =
 
 let run_once store index pattern =
   Buffer_pool.clear (Store.pool store);
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   let t0 = Unix.gettimeofday () in
   ignore (Engine.run store index pattern (Engine.Secure 0));
   let wall = Unix.gettimeofday () -. t0 in
-  (Disk.simulated_us (Store.disk store), Disk.crc_us (Store.disk store), wall)
+  let gauge name = Metrics.gauge_value (Metrics.gauge name) in
+  (gauge "disk.simulated_us", gauge "disk.crc_us", wall)
 
 let best_of ~reps store index pattern =
   let sim = ref infinity and crc = ref 0.0 and wall = ref infinity in

@@ -92,16 +92,19 @@ let make_store params seed =
   let index = Tag_index.build tree in
   (tree, store, index)
 
-(* One measured evaluation: reset stats, run, return (answers, wall,
-   modeled, io_stats). *)
+(* One measured evaluation: reset the registry, run, return (answers,
+   wall, modeled, page touches, run answers). *)
 let measured store index pat sem =
-  Store.reset_stats store;
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   let t0 = Unix.gettimeofday () in
   let r = Engine.run store index pat sem in
   let wall = Unix.gettimeofday () -. t0 in
-  let modeled = wall +. (Disk.simulated_us (Store.disk store) /. 1e6) in
-  (r.Engine.answers, wall, modeled, Store.io_stats store)
+  let modeled = wall +. sim_io_s () in
+  ( r.Engine.answers,
+    wall,
+    modeled,
+    Metrics.counter_value "pool.touches",
+    Metrics.counter_value "store.run_answers" )
 
 type point = {
   density : string;
@@ -133,16 +136,16 @@ let bench_config store index ~density ~subject (qid, xpath) =
   let run_answers = ref 0 and touches_off = ref 0 and touches_on = ref 0 in
   for i = 0 to repetitions - 1 do
     Store.set_run_index store false;
-    let a_off, wall, modeled, io = measured store index pat sem in
+    let a_off, wall, modeled, touches, _ = measured store index pat sem in
     w_off.(i) <- wall;
     m_off.(i) <- modeled;
-    touches_off := io.Store.page_touches;
+    touches_off := touches;
     Store.set_run_index store true;
-    let a_on, wall, modeled, io = measured store index pat sem in
+    let a_on, wall, modeled, touches, answers = measured store index pat sem in
     w_on.(i) <- wall;
     m_on.(i) <- modeled;
-    touches_on := io.Store.page_touches;
-    run_answers := io.Store.run_answers;
+    touches_on := touches;
+    run_answers := answers;
     if a_on <> a_off then identical := false
   done;
   {

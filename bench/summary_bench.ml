@@ -90,17 +90,15 @@ let make_store params seed =
   let index = Tag_index.build tree in
   (tree, store, index)
 
-(* One measured evaluation: reset stats, run, return
+(* One measured evaluation: reset the registry, run, return
    (answers, wall, modeled, candidates scanned, summary classes pruned). *)
 let measured store index pat sem =
-  Store.reset_stats store;
-  Disk.reset_stats (Store.disk store);
-  let pruned0 = Metrics.counter_value "engine.summary_pruned" in
+  Metrics.reset Metrics.default;
   let t0 = Unix.gettimeofday () in
   let r = Engine.run store index pat sem in
   let wall = Unix.gettimeofday () -. t0 in
-  let modeled = wall +. (Disk.simulated_us (Store.disk store) /. 1e6) in
-  let pruned = Metrics.counter_value "engine.summary_pruned" - pruned0 in
+  let modeled = wall +. sim_io_s () in
+  let pruned = Metrics.counter_value "engine.summary_pruned" in
   (r.Engine.answers, wall, modeled, r.Engine.candidates_scanned, pruned)
 
 type point = {

@@ -9,7 +9,6 @@ module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
 module Update = Dolx_core.Update
-module Disk = Dolx_storage.Disk
 module Prng = Dolx_util.Prng
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
@@ -33,20 +32,16 @@ let run () =
   let rng = Prng.create 83 in
   (* (a) single-node updates *)
   let n_ops = 500 in
-  let total_reads = ref 0 and total_writes = ref 0 in
   let max_delta = ref min_int in
   let deltas = Array.make 5 0 in
+  Metrics.reset Metrics.default;
   let _, secs =
     time ~reps:1 (fun () ->
         for _ = 1 to n_ops do
           let v = Prng.int rng n in
           let grant = Prng.bool rng ~p:0.5 in
           let before = Dol.transition_count (Store.dol store) in
-          Disk.reset_stats (Store.disk store);
           ignore (Update.set_node_accessibility store ~subject:0 ~grant v);
-          let ds = Disk.stats (Store.disk store) in
-          total_reads := !total_reads + ds.Disk.reads;
-          total_writes := !total_writes + ds.Disk.writes;
           let delta = Dol.transition_count (Store.dol store) - before in
           if delta > !max_delta then max_delta := delta;
           let bucket = max 0 (min 4 (delta + 2)) in
@@ -56,8 +51,8 @@ let run () =
   Printf.printf
     "\nsingle-node updates: %d ops in %.1f ms; avg %.2f page reads, %.2f page writes per op\n"
     n_ops (secs *. 1000.0)
-    (float_of_int !total_reads /. float_of_int n_ops)
-    (float_of_int !total_writes /. float_of_int n_ops);
+    (float_of_int (Metrics.counter_value "disk.reads") /. float_of_int n_ops)
+    (float_of_int (Metrics.counter_value "disk.writes") /. float_of_int n_ops);
   Printf.printf "transition-count delta histogram (Proposition 1 bound: +2): ";
   Array.iteri (fun i c -> Printf.printf "[%+d]=%d " (i - 2) c) deltas;
   Printf.printf "max observed delta: %+d\n" !max_delta;
@@ -72,29 +67,28 @@ let run () =
   | [] -> ()
   | v :: _ ->
       let size = Tree.subtree_size tree v in
-      Disk.reset_stats (Store.disk store);
+      Metrics.reset Metrics.default;
       let _, bulk_s =
         time ~reps:1 (fun () ->
             Update.set_subtree_accessibility store ~subject:0 ~grant:true v)
       in
-      let bulk = Disk.stats (Store.disk store) in
-      let bulk_writes = bulk.Disk.writes in
+      let bulk_writes = Metrics.counter_value "disk.writes" in
       (* naive: one update per node, after resetting the grant *)
       Update.set_subtree_accessibility store ~subject:0 ~grant:false v;
-      Disk.reset_stats (Store.disk store);
+      Metrics.reset Metrics.default;
       let _, naive_s =
         time ~reps:1 (fun () ->
             for u = v to Tree.subtree_end tree v do
               ignore (Update.set_node_accessibility store ~subject:0 ~grant:true u)
             done)
       in
-      let naive = Disk.stats (Store.disk store) in
+      let naive_writes = Metrics.counter_value "disk.writes" in
       header "Subtree accessibility update: bulk (N/B pages) vs per-node loop";
       table
         [
           [ "method"; "subtree nodes"; "page writes"; "time ms" ];
           [ "bulk subtree op"; fmt_i size; fmt_i bulk_writes; fmt_f (bulk_s *. 1000.0) ];
-          [ "per-node loop"; fmt_i size; fmt_i naive.Disk.writes; fmt_f (naive_s *. 1000.0) ];
+          [ "per-node loop"; fmt_i size; fmt_i naive_writes; fmt_f (naive_s *. 1000.0) ];
         ]);
   (* (c) structural updates: logical insert/delete obey Proposition 1 *)
   let dol = Store.dol store in

@@ -52,7 +52,7 @@ module Wire_server = Dolx_wire.Server
 module Wire_client = Dolx_wire.Client
 
 (* reference the module so its commit.* counters register even in
-   binaries that only read them by name (stats-db, --metrics) *)
+   binaries that only read them by name (--metrics) *)
 let _link_group_commit : Dolx_core.Group_commit.t -> int =
   Dolx_core.Group_commit.max_batch
 
@@ -126,9 +126,8 @@ let metrics_arg =
        & info [ "metrics" ] ~docv:"FORMAT"
            ~doc:"Print metrics for the query run ($(b,human) or $(b,json)).")
 
-(* Reset both the registry and the store's legacy counters right before
-   the measured run, so the two views agree (see docs/ARCHITECTURE.md,
-   "Observability"); wall-clock spans need a real clock. *)
+(* Reset the registry right before the measured run so it counts that
+   run alone; wall-clock spans need a real clock. *)
 let metrics_begin fmt store =
   match fmt with
   | None -> ()
@@ -136,7 +135,6 @@ let metrics_begin fmt store =
       Trace.set_clock Unix.gettimeofday;
       Trace.set_enabled true;
       Trace.reset ();
-      Store.reset_stats store;
       Metrics.reset Metrics.default;
       (* reset zeroed the structural-tier gauges; re-publish them *)
       Store.refresh_gauges store
@@ -959,32 +957,13 @@ let stats_db db =
     (Metrics.counter_value "runs.hits")
     (Metrics.counter_value "runs.evictions");
   (* MVCC snapshot state: the epoch clock, pinned readers, and page
-     versions retained for them; plus the group-commit counters *)
+     versions retained for them *)
   let disk = Store.disk store in
   let ep = Dolx_storage.Disk.epoch disk in
   Printf.printf "mvcc: epoch %d, %d pinned reader(s), %d retained page version(s)\n"
     (Dolx_storage.Epoch.current ep)
     (Dolx_storage.Epoch.pin_count ep)
-    (Dolx_storage.Disk.live_versions disk);
-  Printf.printf "  counters: epoch.advances=%d versions_saved=%d versions_retired=%d\n"
-    (Metrics.counter_value "epoch.advances")
-    (Metrics.counter_value "disk.versions_saved")
-    (Metrics.counter_value "disk.versions_retired");
-  Printf.printf "group commit: batches=%d records=%d flushes=%d\n"
-    (Metrics.counter_value "commit.batches")
-    (Metrics.counter_value "commit.records")
-    (Metrics.counter_value "commit.flushes");
-  (* per-plan-strategy breakdown: which candidate access paths the
-     engine chose this process (nonzero after --metrics query runs) *)
-  Printf.printf
-    "plans: index_join=%d subtree_scan=%d summary_prune=%d summary_path=%d\n"
-    (Metrics.counter_value "engine.plan_index_join")
-    (Metrics.counter_value "engine.plan_subtree_scan")
-    (Metrics.counter_value "engine.plan_summary_prune")
-    (Metrics.counter_value "engine.plan_summary_path");
-  Printf.printf "  pruned: run_index=%d summary=%d\n"
-    (Metrics.counter_value "engine.candidates_pruned")
-    (Metrics.counter_value "engine.summary_pruned")
+    (Dolx_storage.Disk.live_versions disk)
 
 let stats_db_cmd =
   let db = Arg.(required & opt (some file) None & info [ "db" ] ~docv:"FILE") in

@@ -215,11 +215,23 @@ CHECKS = {
 def check_metrics(path):
     doc = json.load(open(path))
     counters = doc["counters"]
-    for key in ("pool.touches", "disk.reads", "store.access_checks", "engine.queries"):
+    for key in ("pool.touches", "pool.hits", "pool.misses", "pool.retries",
+                "disk.reads", "store.access_checks", "engine.queries"):
         require(key in counters, f"missing counter {key}")
         require(isinstance(counters[key], int), f"{key} not an int")
     require(counters["engine.queries"] == 1, "expected exactly one query")
     require(counters["pool.touches"] > 0, "no page touches recorded")
+    # The registry is the only record of these counts, so its counters
+    # must agree with each other: every touch is a hit or a miss, and
+    # every disk read is a miss or the retry of one.
+    require(counters["pool.touches"] == counters["pool.hits"] + counters["pool.misses"],
+            "pool.touches != pool.hits + pool.misses")
+    require(counters["disk.reads"] == counters["pool.misses"] + counters["pool.retries"],
+            "disk.reads != pool.misses + pool.retries")
+    gauges = doc["gauges"]
+    for key, value in gauges.items():
+        require(is_num(value), f"gauge {key} not numeric")
+        require(value >= 0, f"gauge {key} is negative: {value}")
     return {k: counters[k] for k in ("pool.touches", "disk.reads", "engine.queries")}
 
 

@@ -77,10 +77,6 @@ type t = {
   runs : Access_runs.t;
   mutable use_runs : bool;
   run_cursor : Access_runs.cursor;
-  mutable access_checks : int;
-  mutable header_skips : int; (* page loads avoided via the header check *)
-  mutable codebook_lookups : int; (* Codebook.grants evaluations *)
-  mutable run_answers : int; (* checks answered by the run index *)
   (* Fail-secure quarantine: sorted disjoint preorder ranges [lo, hi]
      whose label pages could not be recovered after corruption.  Access
      to a quarantined node is denied for every subject — recovery must
@@ -101,36 +97,6 @@ let build_summary tree =
   Metrics.gauge_set g_summary_nodes
     (float_of_int (Path_summary.node_count summary));
   summary
-
-let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
-    ?(run_index = true) ?(path_summary = true) tree dol =
-  if Dol.n_nodes dol <> Tree.size tree then
-    invalid_arg "Secure_store.create: tree / DOL size mismatch";
-  let disk = Disk.create ~page_size () in
-  let transitions =
-    Array.of_list (Dol.transitions dol)
-  in
-  let layout = Nok_layout.build ~fill disk tree ~transitions in
-  let pool = Buffer_pool.create ~capacity:pool_capacity disk in
-  let summary = build_summary tree in
-  { tree; summary; use_summary = path_summary;
-    dol; layout; pool; disk; pool_capacity;
-    cursor = Nok_layout.cursor layout;
-    runs = Access_runs.create dol;
-    use_runs = run_index;
-    run_cursor = Access_runs.cursor ();
-    access_checks = 0;
-    header_skips = 0; codebook_lookups = 0; run_answers = 0;
-    quarantine = [||];
-    published =
-      Atomic.make
-        {
-          p_epoch = Epoch.current (Disk.epoch disk);
-          p_dol = Dol.snapshot dol;
-          p_layout = Nok_layout.freeze layout;
-        };
-    write_m = Mutex.create ();
-    epoch_pin = None }
 
 (** Assemble a store from pre-built parts (database-file loading): the
     layout must already live on [disk].  [quarantine] lists preorder
@@ -157,8 +123,6 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
     runs = Access_runs.create ~deny:quarantine dol;
     use_runs = run_index;
     run_cursor = Access_runs.cursor ();
-    access_checks = 0;
-    header_skips = 0; codebook_lookups = 0; run_answers = 0;
     quarantine = quarantine_a;
     published =
       Atomic.make
@@ -170,10 +134,19 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
     write_m = Mutex.create ();
     epoch_pin = None }
 
+let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
+    ?(run_index = true) ?(path_summary = true) tree dol =
+  if Dol.n_nodes dol <> Tree.size tree then
+    invalid_arg "Secure_store.create: tree / DOL size mismatch";
+  let disk = Disk.create ~page_size () in
+  let transitions = Array.of_list (Dol.transitions dol) in
+  let layout = Nok_layout.build ~fill disk tree ~transitions in
+  assemble ~pool_capacity ~run_index ~path_summary ~tree ~dol ~disk ~layout ()
+
 (** A read-only evaluation handle over the same store: shares the
     immutable parts (tree, DOL, layout, disk, quarantine) but owns a
-    fresh buffer pool, scan cursor and I/O statistics.  Handles can be
-    used concurrently from separate domains as long as no mutation
+    fresh buffer pool and scan cursors.  Handles can be used
+    concurrently from separate domains as long as no mutation
     ({!Update}, {!rebuild}) runs — the disk serializes physical I/O
     internally, and everything else a reader touches is private or
     read-only.  [pool_capacity] defaults to the parent's. *)
@@ -191,10 +164,6 @@ let reader ?pool_capacity t =
       cursor = Nok_layout.cursor t.layout;
       run_cursor = Access_runs.cursor ();
       pool_capacity;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
       epoch_pin = None;
     }
   else begin
@@ -222,10 +191,6 @@ let reader ?pool_capacity t =
       cursor = Nok_layout.cursor s.p_layout;
       run_cursor = Access_runs.cursor ();
       pool_capacity;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
       epoch_pin = Some e;
     }
   end
@@ -320,50 +285,6 @@ let refresh_gauges t =
   Metrics.gauge_set g_summary_nodes
     (float_of_int (Path_summary.node_count t.summary))
 
-(** {1 Statistics} *)
-
-type io_stats = {
-  page_touches : int;
-  pool_hits : int;
-  pool_misses : int;
-  disk_reads : int;
-  disk_writes : int;
-  access_checks : int;
-  header_skips : int;
-  codebook_lookups : int;
-  run_answers : int;
-}
-
-let io_stats t =
-  let ps = Buffer_pool.stats t.pool in
-  let ds = Disk.stats t.disk in
-  {
-    page_touches = ps.Buffer_pool.touches;
-    pool_hits = ps.Buffer_pool.hits;
-    pool_misses = ps.Buffer_pool.misses;
-    disk_reads = ds.Disk.reads;
-    disk_writes = ds.Disk.writes;
-    access_checks = t.access_checks;
-    header_skips = t.header_skips;
-    codebook_lookups = t.codebook_lookups;
-    run_answers = t.run_answers;
-  }
-
-let reset_stats t =
-  Buffer_pool.reset_stats t.pool;
-  Disk.reset_stats t.disk;
-  t.access_checks <- 0;
-  t.header_skips <- 0;
-  t.codebook_lookups <- 0;
-  t.run_answers <- 0
-
-let pp_io ppf s =
-  Fmt.pf ppf
-    "touches=%d hits=%d misses=%d disk_reads=%d disk_writes=%d checks=%d \
-     skips=%d lookups=%d run_answers=%d"
-    s.page_touches s.pool_hits s.pool_misses s.disk_reads s.disk_writes
-    s.access_checks s.header_skips s.codebook_lookups s.run_answers
-
 (** {1 Navigation (with I/O accounting)}
 
     The structural answers come from the resident pointer arena
@@ -400,18 +321,15 @@ let text t v = Tree.text t.tree v
     page, so this incurs no I/O beyond the page the evaluator already
     loaded to visit [v]. *)
 let grants (t : t) code subject =
-  t.codebook_lookups <- t.codebook_lookups + 1;
   Metrics.incr c_codebook_lookups;
   Codebook.grants (Dol.codebook t.dol) code subject
 
 (* Answer one check from the run index through this handle's cursor. *)
 let run_verdict (t : t) ~subject v =
-  t.run_answers <- t.run_answers + 1;
   Metrics.incr c_run_answers;
   Access_runs.accessible t.runs t.run_cursor ~dol:t.dol ~subject v
 
 let accessible (t : t) ~subject v =
-  t.access_checks <- t.access_checks + 1;
   Metrics.incr c_access_checks;
   if !planted_bug && v = 3 then false
   else if in_quarantine t v then false
@@ -434,7 +352,6 @@ let page_provably_inaccessible t ~subject v =
 (** ACCESS with the header optimization: consult the in-memory header
     first and only fall back to loading the page when it cannot decide. *)
 let accessible_with_skip (t : t) ~subject v =
-  t.access_checks <- t.access_checks + 1;
   Metrics.incr c_access_checks;
   if !planted_bug && v = 3 then false
   else if in_quarantine t v then false
@@ -448,7 +365,6 @@ let accessible_with_skip (t : t) ~subject v =
     ok
   end
   else if page_provably_inaccessible t ~subject v then begin
-    t.header_skips <- t.header_skips + 1;
     Metrics.incr c_header_skips;
     false
   end

@@ -1,7 +1,15 @@
 (** A secured XML store: the NoK page layout with embedded DOL codes, a
     buffer pool, and the in-memory codebook + page-header table (paper
     §3.2).  All navigation used by query evaluation goes through this
-    module so page touches, buffer hits and disk I/O are accounted. *)
+    module so page touches, buffer hits and disk I/O are accounted.
+
+    Access checks are counted in {!Dolx_obs.Metrics.default}:
+    [store.access_checks] (ACCESS evaluations, §3.3),
+    [store.header_skips] (page loads avoided via the header check),
+    [store.codebook_lookups] ([Codebook.grants] evaluations) and
+    [store.run_answers] (checks answered by the run index, no page
+    decode).  The counts are process-wide: every handle of every store
+    adds to the same counters. *)
 
 module Tree = Dolx_xml.Tree
 
@@ -130,26 +138,6 @@ val planted_bug : bool ref
     half-applied splice.  Armed by [DOLX_FUZZ_PLANT_BUG=stale] (or
     [=stale-snapshot]); tests may toggle the ref directly. *)
 val planted_stale : bool ref
-
-(** {1 Statistics} *)
-
-type io_stats = {
-  page_touches : int;   (** logical page accesses through the pool *)
-  pool_hits : int;
-  pool_misses : int;
-  disk_reads : int;
-  disk_writes : int;
-  access_checks : int;  (** ACCESS evaluations (§3.3) *)
-  header_skips : int;   (** page loads avoided via the header check *)
-  codebook_lookups : int;  (** [Codebook.grants] evaluations *)
-  run_answers : int;  (** checks answered by the run index (no page decode) *)
-}
-
-val io_stats : t -> io_stats
-
-val reset_stats : t -> unit
-
-val pp_io : Format.formatter -> io_stats -> unit
 
 (** {1 Navigation}
 

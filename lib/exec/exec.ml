@@ -5,8 +5,8 @@
     share the immutable evaluation state (tree, DOL, NoK page layout,
     codebook, tag index) and the simulated disk — which serializes
     physical page I/O internally — while each keeps a private buffer
-    pool, scan cursor and statistics, so evaluation never takes a lock
-    on the hot path.
+    pool and scan cursors, so evaluation never takes a lock on the hot
+    path.
 
     Parallelism is inter-query only: {!run_batch} spreads independent
     (pattern, semantics) jobs over the pool, each evaluated by
@@ -20,7 +20,6 @@
     page versions can be retired. *)
 
 module Store = Dolx_core.Secure_store
-module Disk = Dolx_storage.Disk
 module Tag_index = Dolx_index.Tag_index
 module Value_index = Dolx_index.Value_index
 module Engine = Dolx_nok.Engine
@@ -140,8 +139,6 @@ let create ?(options = Engine.default_options) ?value_index ?pool_capacity
 
 let jobs t = t.pool.jobs
 
-let readers t = Array.to_list t.readers
-
 (* Idempotent: joins the worker domains, then releases every reader's
    epoch pin (itself idempotent) so page versions can be retired.  Safe
    to call from a [Fun.protect] finalizer after a mid-query exception —
@@ -192,46 +189,3 @@ let run_batch t queries =
 let query_batch t queries =
   run_batch t
     (List.map (fun (xpath, semantics) -> (Xpath.parse xpath, semantics)) queries)
-
-(** {1 Statistics} *)
-
-(* Pool- and store-level fields are per-reader and sum exactly; the disk
-   is shared, so its counters are taken once (each reader's io_stats
-   reports the same shared numbers). *)
-let aggregate_io t =
-  let zero =
-    {
-      Store.page_touches = 0;
-      pool_hits = 0;
-      pool_misses = 0;
-      disk_reads = 0;
-      disk_writes = 0;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
-    }
-  in
-  let tot =
-    Array.fold_left
-      (fun acc r ->
-        let s = Store.io_stats r in
-        {
-          acc with
-          Store.page_touches = acc.Store.page_touches + s.Store.page_touches;
-          pool_hits = acc.Store.pool_hits + s.Store.pool_hits;
-          pool_misses = acc.Store.pool_misses + s.Store.pool_misses;
-          access_checks = acc.Store.access_checks + s.Store.access_checks;
-          header_skips = acc.Store.header_skips + s.Store.header_skips;
-          codebook_lookups =
-            acc.Store.codebook_lookups + s.Store.codebook_lookups;
-          run_answers = acc.Store.run_answers + s.Store.run_answers;
-        })
-      zero t.readers
-  in
-  let ds = Disk.stats (Store.disk t.store) in
-  { tot with Store.disk_reads = ds.Disk.reads; disk_writes = ds.Disk.writes }
-
-let reset_stats t =
-  Array.iter Store.reset_stats t.readers;
-  Disk.reset_stats (Store.disk t.store)

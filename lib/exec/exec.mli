@@ -4,9 +4,8 @@
     {!Dolx_core.Secure_store.reader} handle per worker slot: the handles
     share the immutable evaluation state (tree, DOL, page layout,
     codebook, tag index) and the simulated disk (which serializes
-    physical I/O internally) while keeping private buffer pools, scan
-    cursors and statistics — no lock is taken on the evaluation hot
-    path.
+    physical I/O internally) while keeping private buffer pools and
+    scan cursors — no lock is taken on the evaluation hot path.
 
     Parallelism is inter-query: each query of a batch runs whole on one
     worker through {!Engine.run}, so results are byte-identical to
@@ -32,9 +31,6 @@ val create :
 
 (** Number of worker slots. *)
 val jobs : t -> int
-
-(** The per-slot reader handles (for statistics inspection). *)
-val readers : t -> Store.t list
 
 (** Join the worker domains and release every reader's epoch pin (so
     superseded page versions can be retired).  The executor must not be
@@ -67,12 +63,3 @@ val run_batch : t -> (Dolx_nok.Pattern.t * Engine.semantics) list -> Engine.resu
 (** {!run_batch} over XPath strings.
     @raise Dolx_nok.Xpath.Parse_error on a malformed query. *)
 val query_batch : t -> (string * Engine.semantics) list -> Engine.result list
-
-(** {1 Statistics} *)
-
-(** Sum of the per-reader pool/store statistics; the shared disk's
-    counters are included once. *)
-val aggregate_io : t -> Store.io_stats
-
-(** Zero every reader's statistics and the shared disk's. *)
-val reset_stats : t -> unit

@@ -278,6 +278,29 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
       let out = List.fold_left (fun bs step -> expand step bs) start rest in
       List.sort_uniq compare out
 
+(* The trunk steps of [plan] when their shape admits the summary-path
+   plan below — child and descendant axes only, ending in a tag test —
+   else [None].  The one shape test both [stage] and [explain] use. *)
+let summary_path_trunk (plan : Decompose.plan) =
+  let steps =
+    Array.of_list
+      (List.concat_map
+         (fun (s : Decompose.segment) -> s.Decompose.steps)
+         plan.Decompose.segments)
+  in
+  let k = Array.length steps - 1 in
+  let admits =
+    k >= 0
+    && (match steps.(k).Decompose.pnode.Pattern.test with
+       | Pattern.Tag _ -> true
+       | Pattern.Wildcard -> false)
+    && Array.for_all
+         (fun (st : Decompose.step) ->
+           st.Decompose.pnode.Pattern.axis <> Pattern.Following_sibling)
+         steps
+  in
+  if admits then Some steps else None
+
 (* Summary-path plan: when the trunk uses only child and descendant
    axes and ends in a tag test, the query is resolved bottom-up from
    the LAST step's class-filtered postings instead of top-down through
@@ -299,82 +322,64 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
 
    The plan is returned as data — the sorted candidate list and the
    qualification predicate — so [stream] can apply the filter lazily,
-   one candidate at a time, while [run] filters eagerly.  [None] when
-   the trunk shape does not admit the plan. *)
+   one candidate at a time, while [run] filters eagerly.  [steps] must
+   be a trunk that {!summary_path_trunk} admitted. *)
 let summary_path_filter ?value_index ~summary store index mode semantics
-    (plan : Decompose.plan) scanned =
-  let steps =
-    Array.of_list
-      (List.concat_map
-         (fun (s : Decompose.segment) -> s.Decompose.steps)
-         plan.Decompose.segments)
-  in
+    steps scanned =
   let k = Array.length steps - 1 in
   let axis i = steps.(i).Decompose.pnode.Pattern.axis in
-  let usable =
-    k >= 0
-    && (match steps.(k).Decompose.pnode.Pattern.test with
-       | Pattern.Tag _ -> true
-       | Pattern.Wildcard -> false)
-    &&
-    let rec no_fs i = i > k || (axis i <> Pattern.Following_sibling && no_fs (i + 1)) in
-    no_fs 0
-  in
-  if not usable then None
+  Metrics.incr c_plan_path;
+  let last = steps.(k).Decompose.pnode in
+  if Summary_prune.empty_for summary last then ([], fun _ -> false)
   else begin
-    Metrics.incr c_plan_path;
-    let last = steps.(k).Decompose.pnode in
-    if Summary_prune.empty_for summary last then Some ([], fun _ -> false)
-    else begin
-      let cands = index_candidates ?value_index store index last in
-      let cands = Summary_prune.restrict summary last cands in
-      let cands = prune_candidates store semantics cands in
-      let ps = Store.path_summary store in
-      let adm =
-        Array.map
-          (fun (st : Decompose.step) ->
-            Summary_prune.classes summary st.Decompose.pnode)
-          steps
-      in
-      let admissible i v = adm.(i).(Path_summary.class_of ps v) in
-      let qualify i v =
-        incr scanned;
-        Nok_match.qualifies store index mode steps.(i).Decompose.pnode
-          ~preds:steps.(i).Decompose.preds v
-      in
-      let n = Tree.size (Store.tree store) in
-      let memo = Hashtbl.create 512 in
-      let rec match_up i v =
-        match Hashtbl.find_opt memo ((i * n) + v) with
-        | Some b -> b
-        | None ->
-            let above =
-              if i = 0 then
-                match axis 0 with
-                | Pattern.Child -> v = Tree.root
-                | Pattern.Descendant | Pattern.Following_sibling -> true
-              else
-                match axis i with
-                | Pattern.Child ->
-                    let u = Store.parent store v in
-                    u <> Tree.nil && match_up (i - 1) u
-                | Pattern.Descendant ->
-                    let rec search u =
-                      u <> Tree.nil
-                      && ((admissible (i - 1) u
-                          && match_up (i - 1) u
-                          && Nok_match.path_clear store mode ~ctx:u v)
-                         || search (Store.parent store u))
-                    in
-                    search (Store.parent store v)
-                | Pattern.Following_sibling -> false
-            in
-            let b = above && qualify i v in
-            Hashtbl.add memo ((i * n) + v) b;
-            b
-      in
-      Some (cands, fun v -> match_up k v)
-    end
+    let cands = index_candidates ?value_index store index last in
+    let cands = Summary_prune.restrict summary last cands in
+    let cands = prune_candidates store semantics cands in
+    let ps = Store.path_summary store in
+    let adm =
+      Array.map
+        (fun (st : Decompose.step) ->
+          Summary_prune.classes summary st.Decompose.pnode)
+        steps
+    in
+    let admissible i v = adm.(i).(Path_summary.class_of ps v) in
+    let qualify i v =
+      incr scanned;
+      Nok_match.qualifies store index mode steps.(i).Decompose.pnode
+        ~preds:steps.(i).Decompose.preds v
+    in
+    let n = Tree.size (Store.tree store) in
+    let memo = Hashtbl.create 512 in
+    let rec match_up i v =
+      match Hashtbl.find_opt memo ((i * n) + v) with
+      | Some b -> b
+      | None ->
+          let above =
+            if i = 0 then
+              match axis 0 with
+              | Pattern.Child -> v = Tree.root
+              | Pattern.Descendant | Pattern.Following_sibling -> true
+            else
+              match axis i with
+              | Pattern.Child ->
+                  let u = Store.parent store v in
+                  u <> Tree.nil && match_up (i - 1) u
+              | Pattern.Descendant ->
+                  let rec search u =
+                    u <> Tree.nil
+                    && ((admissible (i - 1) u
+                        && match_up (i - 1) u
+                        && Nok_match.path_clear store mode ~ctx:u v)
+                       || search (Store.parent store u))
+                  in
+                  search (Store.parent store v)
+              | Pattern.Following_sibling -> false
+          in
+          let b = above && qualify i v in
+          Hashtbl.add memo ((i * n) + v) b;
+          b
+    in
+    (cands, fun v -> match_up k v)
   end
 
 (* Candidate roots of the plan's first segment: the document root for a
@@ -413,11 +418,12 @@ let stage ?value_index store index mode semantics ~scanned ~joins pattern
     (plan : Decompose.plan) =
   let summary = summary_analysis store pattern semantics in
   let path_plan =
-    match summary with
-    | Some sp ->
-        summary_path_filter ?value_index ~summary:sp store index mode semantics
-          plan scanned
-    | None -> None
+    match (summary, summary_path_trunk plan) with
+    | Some sp, Some steps ->
+        Some
+          (summary_path_filter ?value_index ~summary:sp store index mode
+             semantics steps scanned)
+    | _ -> None
   in
   let rec go segments roots =
     match segments with
@@ -734,12 +740,22 @@ let bindings ?(options = default_options) ?(limit = max_int) store index pattern
             roots));
   List.rev !out
 
-(** Human-readable evaluation plan: the NoK segments, the joins between
-    them, and the index candidate count seeding each segment.  The
-    database-explain view of §3.1's decomposition. *)
+(** Human-readable evaluation plan: a [plan:] line naming the plan
+    {!run} takes on [store] — the summary-path plan, or the segments and
+    the structural joins between them — then the NoK segments with the
+    index candidate count seeding each.  The database-explain view of
+    §3.1's decomposition. *)
 let explain store index pattern =
   let plan = Decompose.plan pattern in
   let buf = Buffer.create 256 in
+  let n_segments = Decompose.segment_count plan in
+  Buffer.add_string buf
+    (if Store.summary_enabled store && summary_path_trunk plan <> None then
+       "plan: summary-path (trunk matched bottom-up from the last step's \
+        postings; the segment joins below do not run)"
+     else
+       Printf.sprintf "plan: %d segment(s), %d structural join(s)" n_segments
+         (max 0 (n_segments - 1)));
   List.iteri
     (fun i (seg : Decompose.segment) ->
       if i > 0 then Buffer.add_string buf "\n  |X| structural join (ancestor-descendant)\n"

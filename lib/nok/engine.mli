@@ -56,8 +56,9 @@ val bindings :
   ?options:options -> ?limit:int -> Store.t -> Dolx_index.Tag_index.t ->
   Pattern.t -> semantics -> Dolx_xml.Tree.node list list
 
-(** Human-readable evaluation plan: segments, joins, per-segment index
-    candidate counts. *)
+(** Human-readable evaluation plan: a [plan:] line naming the plan
+    {!run} takes on this store (summary-path, or segments + structural
+    joins), then the segments with their index candidate counts. *)
 val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** Deliberate fault site for the differential fuzzer's self-test: when

@@ -5,11 +5,8 @@
     insecure evaluation (§5.2) — is a claim about {e counters}: page
     touches, buffer hits, disk I/Os, access checks.  This registry is the
     one place those counters live, so the CLI, the bench harness and the
-    tests all read the same numbers.  The storage and engine modules keep
-    their original [stats] records (every existing accessor still works);
-    they additionally route each increment through a registry counter, so
-    the two views are equal by construction whenever they are reset
-    together.
+    tests all read the same numbers; the storage and access-check
+    modules keep no per-instance copy of them.
 
     Cost model: a counter increment is one [bool ref] dereference, one
     branch and one [Atomic.fetch_and_add] — cheap enough to leave enabled
@@ -19,9 +16,7 @@
 
     Concurrency: counters and gauges are [Atomic.t]-backed, so the same
     named cell can be bumped from several domains (the [Dolx_exec] pool)
-    without losing increments — the dual-written legacy stats records
-    stay per-instance (one owner domain each), and their sums equal the
-    registry totals exactly.  Histograms remain single-writer: they back
+    without losing increments.  Histograms remain single-writer: they back
     span tracing, which only records on the main domain.
 
     Histograms are log-scale (one bucket per power of two, exponents

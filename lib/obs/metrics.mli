@@ -7,18 +7,15 @@
     update into the dereference + branch alone.
 
     Counters and gauges are [Atomic.t]-backed: increments from several
-    domains (the {!Dolx_exec} pool evaluating a batch) are never lost,
-    so the dual-written per-instance stats records sum exactly to the
-    registry totals.  Histograms are single-writer (they back span
-    tracing, which records only on the main domain).
+    domains (the {!Dolx_exec} pool evaluating a batch) are never lost.
+    Histograms are single-writer (they back span tracing, which records
+    only on the main domain).
 
-    The legacy per-module [stats] records ({!Dolx_storage.Disk.stats},
-    {!Dolx_storage.Buffer_pool.stats}, [Secure_store.io_stats]) remain
-    the per-instance view; registry counters aggregate the same
-    increments process-wide.  Reset both together (e.g.
-    [Metrics.reset Metrics.default] next to [Store.reset_stats]) and the
-    two views stay equal by construction — the [obs] test suite asserts
-    this parity on a Table-1 query run. *)
+    {!default} is the only record of the disk, buffer-pool, access-check
+    and engine counts ([disk.*], [pool.*], [store.*], [engine.*]): no
+    module keeps a per-instance copy of them.  Counts are process-wide;
+    to measure one run, {!reset} the registry, run, and read
+    {!counter_value} / {!gauge_value}. *)
 
 type t
 

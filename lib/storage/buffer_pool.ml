@@ -7,7 +7,7 @@
     counters here are what demonstrate it.
 
     Disk faults are handled, not ignored: transient read errors are
-    retried a bounded number of times (counted in [stats.retries]), and
+    retried a bounded number of times (counted in [pool.retries]), and
     {!flush_all} attempts every dirty frame before reporting failures,
     so one bad page cannot silently discard unrelated dirty pages. *)
 
@@ -44,17 +44,6 @@ let () =
                    failures)))
     | _ -> None)
 
-type stats = {
-  mutable touches : int; (* logical page accesses *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable retries : int; (* re-reads after transient disk faults *)
-  mutable evictions : int; (* frames recycled to make room *)
-  mutable eviction_flush_failures : int;
-      (* evictions aborted because the victim's dirty flush faulted; the
-         victim stays resident, so no modified page is ever dropped *)
-}
-
 type frame = {
   mutable page_id : int;
   data : Page.t;
@@ -75,7 +64,6 @@ type t = {
   epoch : int option;
   frames : (int, frame) Hashtbl.t; (* page_id -> frame *)
   lru : Lru.t;
-  stats : stats;
 }
 
 let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
@@ -89,28 +77,9 @@ let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
     epoch;
     frames = Hashtbl.create (2 * capacity);
     lru = Lru.create ~capacity_hint:capacity ();
-    stats =
-      {
-        touches = 0;
-        hits = 0;
-        misses = 0;
-        retries = 0;
-        evictions = 0;
-        eviction_flush_failures = 0;
-      };
   }
 
 let disk t = t.disk
-
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.touches <- 0;
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.retries <- 0;
-  t.stats.evictions <- 0;
-  t.stats.eviction_flush_failures <- 0
 
 let flush_frame t frame =
   if frame.dirty then begin
@@ -133,12 +102,10 @@ let evict_one t =
       (match flush_frame t frame with
       | () -> ()
       | exception e ->
-          t.stats.eviction_flush_failures <- t.stats.eviction_flush_failures + 1;
           Metrics.incr c_eviction_flush_failures;
           frame.lnode <- Lru.insert t.lru victim;
           raise e);
       Hashtbl.remove t.frames victim;
-      t.stats.evictions <- t.stats.evictions + 1;
       Metrics.incr c_evictions;
       frame
 
@@ -148,7 +115,6 @@ let read_retrying t id dst =
   let rec go attempts_left =
     try Disk.read ?epoch:t.epoch t.disk id dst with
     | Disk.Fault { kind = Disk.Transient_read; _ } when attempts_left > 0 ->
-        t.stats.retries <- t.stats.retries + 1;
         Metrics.incr c_retries;
         go (attempts_left - 1)
   in
@@ -159,16 +125,13 @@ let read_retrying t id dst =
     [mark_dirty].  The hit path is one hash lookup (the LRU is touched
     through the frame's node, a no-op when the frame is already MRU). *)
 let get t id =
-  t.stats.touches <- t.stats.touches + 1;
   Metrics.incr c_touches;
   match Hashtbl.find_opt t.frames id with
   | Some frame ->
-      t.stats.hits <- t.stats.hits + 1;
       Metrics.incr c_hits;
       Lru.touch_node t.lru frame.lnode;
       frame.data
   | None ->
-      t.stats.misses <- t.stats.misses + 1;
       Metrics.incr c_misses;
       let frame =
         if Hashtbl.length t.frames >= t.capacity then begin
@@ -224,8 +187,7 @@ let flush_all t =
       Metrics.add c_flush_failures (List.length fs);
       raise (Flush_failed (List.sort (fun (a, _) (b, _) -> compare a b) fs))
 
-(** Drop everything (writing dirty pages back); resets residency but not
-    counters. *)
+(** Drop everything (writing dirty pages back); resets residency. *)
 let clear t =
   let flush_error = try flush_all t; None with e -> Some e in
   Hashtbl.reset t.frames;

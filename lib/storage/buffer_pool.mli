@@ -1,6 +1,11 @@
-(** A buffer pool over the simulated {!Disk} with LRU replacement.  The
-    counters here are what demonstrate the paper's key claim that ε-NoK's
-    access checks are served from already-resident pages (§3.3, §5.2).
+(** A buffer pool over the simulated {!Disk} with LRU replacement.  Its
+    counters in {!Dolx_obs.Metrics.default} — [pool.touches] (logical
+    page accesses), [pool.hits], [pool.misses], [pool.retries] (re-reads
+    after transient disk faults), [pool.evictions],
+    [pool.eviction_flush_failures], [pool.flushes],
+    [pool.flush_failures] — are what demonstrate the paper's key claim
+    that ε-NoK's access checks are served from already-resident pages
+    (§3.3, §5.2).
 
     Transient disk read faults are retried a bounded number of times;
     {!flush_all} attempts every dirty frame before reporting failures. *)
@@ -10,18 +15,6 @@
     each write raised, sorted by page id.  Frames that did flush are
     clean; the failed ones remain dirty. *)
 exception Flush_failed of (int * exn) list
-
-type stats = {
-  mutable touches : int;  (** logical page accesses *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable retries : int;  (** re-reads after transient disk faults *)
-  mutable evictions : int;  (** frames recycled to make room *)
-  mutable eviction_flush_failures : int;
-      (** evictions aborted because the victim's dirty flush faulted; the
-          victim stays resident (and dirty), so no modified page is
-          dropped *)
-}
 
 type t
 
@@ -38,10 +31,6 @@ val create : ?capacity:int -> ?max_read_retries:int -> ?epoch:int -> Disk.t -> t
 
 val disk : t -> Disk.t
 
-val stats : t -> stats
-
-val reset_stats : t -> unit
-
 (** Fetch a page, reading from disk on a miss (evicting LRU when full).
     The returned bytes are the pool's frame: read-only unless followed by
     {!mark_dirty}.
@@ -50,7 +39,7 @@ val reset_stats : t -> unit
     not verify.  The pool is left consistent: the page is simply not
     resident.  Also raised when eviction is needed and the victim's
     dirty flush faults — the victim then stays resident and dirty
-    (counted in [eviction_flush_failures]); no modified page is ever
+    (counted in [pool.eviction_flush_failures]); no modified page is ever
     silently dropped. *)
 val get : t -> int -> Page.t
 
@@ -69,7 +58,7 @@ val mark_dirty : t -> int -> unit
     @raise Flush_failed listing each page that could not be written. *)
 val flush_all : t -> unit
 
-(** Flush and drop all frames (counters kept).  Frames are dropped even
+(** Flush and drop all frames.  Frames are dropped even
     when flushing fails.
     @raise Flush_failed as for {!flush_all}. *)
 val clear : t -> unit

@@ -22,10 +22,8 @@ module Prng = Dolx_util.Prng
 module Crc = Dolx_util.Crc
 module Metrics = Dolx_obs.Metrics
 
-(* Process-wide mirrors of the per-instance stats record (see
-   docs/ARCHITECTURE.md, "Observability"): every increment below is
-   routed to both, so the registry totals equal the legacy record sums
-   whenever they are reset together. *)
+(* The device's I/O accounting lives only in the process-wide registry
+   (see docs/ARCHITECTURE.md, "Observability"). *)
 let c_reads = Metrics.counter "disk.reads"
 
 let c_writes = Metrics.counter "disk.writes"
@@ -82,31 +80,17 @@ let fault_plan ?(transient_read_p = 0.0) ?(torn_write_p = 0.0)
     ?(bit_flip_p = 0.0) ?(bad_page_p = 0.0) prng =
   { fault_prng = prng; transient_read_p; torn_write_p; bit_flip_p; bad_page_p }
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable allocations : int;
-  mutable transient_faults : int;  (** injected transient read errors *)
-  mutable torn_writes : int;  (** injected torn writes *)
-  mutable bit_flips : int;  (** injected bit flips *)
-  mutable checksum_failures : int;  (** reads rejected by CRC verification *)
-  mutable versions_saved : int;  (** page images retained for pinned epochs *)
-  mutable versions_retired : int;  (** retained images dropped at the horizon *)
-}
-
 type t = {
   page_size : int;
   mutable pages : Page.t array;
   mutable crcs : int array; (* CRC32C of the *intended* image of each page *)
   mutable count : int;
-  stats : stats;
   (* Synthetic cost model: simulated microseconds charged per page I/O,
-     accumulated so experiments can report "disk time". *)
+     accumulated in the [disk.simulated_us] gauge so experiments can
+     report "disk time". *)
   read_cost_us : float;
   write_cost_us : float;
   crc_cost_us : float;
-  mutable simulated_us : float;
-  mutable crc_us : float; (* share of simulated_us spent verifying CRCs *)
   mutable verify_reads : bool;
   mutable plan : fault_plan option;
   bad : (int, unit) Hashtbl.t; (* permanently failed pages *)
@@ -119,8 +103,9 @@ type t = {
      Chains are kept newest-first (descending [visible_until]). *)
   epoch : Epoch.t;
   versions : (int, (int * int * Page.t) list) Hashtbl.t;
+  mutable live : int; (* total length of all version chains *)
   (* One device, many domains: [Dolx_exec] readers share the disk while
-     holding private buffer pools, so the page store, the stats record
+     holding private buffer pools, so the page store, the version chains
      and the fault machinery are serialized here.  Contention is low by
      construction — the pools absorb > 95% of touches, so the lock is
      taken only on real page I/O. *)
@@ -144,29 +129,16 @@ let create ?(page_size = Page.default_size) ?(read_cost_us = 100.0)
     pages = Array.make 16 (Page.create 0);
     crcs = Array.make 16 0;
     count = 0;
-    stats =
-      {
-        reads = 0;
-        writes = 0;
-        allocations = 0;
-        transient_faults = 0;
-        torn_writes = 0;
-        bit_flips = 0;
-        checksum_failures = 0;
-        versions_saved = 0;
-        versions_retired = 0;
-      };
     read_cost_us;
     write_cost_us;
     crc_cost_us;
-    simulated_us = 0.0;
-    crc_us = 0.0;
     verify_reads;
     plan = None;
     bad = Hashtbl.create 8;
     zero_crc = Crc.digest (Page.create page_size);
     epoch = Epoch.create ();
     versions = Hashtbl.create 16;
+    live = 0;
     m = Mutex.create ();
   }
 
@@ -175,22 +147,6 @@ let page_size t = t.page_size
 let epoch t = t.epoch
 
 let page_count t = t.count
-
-let stats t = t.stats
-
-let simulated_us t = t.simulated_us
-
-let crc_us t = t.crc_us
-
-let reset_stats t =
-  t.stats.reads <- 0;
-  t.stats.writes <- 0;
-  t.stats.transient_faults <- 0;
-  t.stats.torn_writes <- 0;
-  t.stats.bit_flips <- 0;
-  t.stats.checksum_failures <- 0;
-  t.simulated_us <- 0.0;
-  t.crc_us <- 0.0
 
 let set_fault_plan t plan = t.plan <- plan
 
@@ -225,7 +181,6 @@ let allocate t =
   t.pages.(id) <- Page.create t.page_size;
   t.crcs.(id) <- t.zero_crc;
   t.count <- id + 1;
-  t.stats.allocations <- t.stats.allocations + 1;
   Metrics.incr c_allocations;
   id
 
@@ -261,9 +216,7 @@ let version_at t id e =
 let read ?epoch t id dst =
   locked t @@ fun () ->
   check t id "read";
-  t.stats.reads <- t.stats.reads + 1;
   Metrics.incr c_reads;
-  t.simulated_us <- t.simulated_us +. t.read_cost_us;
   Metrics.gauge_add g_simulated_us t.read_cost_us;
   if Hashtbl.mem t.bad id then begin
     Metrics.incr c_bad_page_faults;
@@ -271,7 +224,6 @@ let read ?epoch t id dst =
   end;
   (match t.plan with
   | Some plan when draw plan plan.transient_read_p ->
-      t.stats.transient_faults <- t.stats.transient_faults + 1;
       Metrics.incr c_transient_faults;
       raise (Fault { page = id; kind = Transient_read })
   | _ -> ());
@@ -285,12 +237,9 @@ let read ?epoch t id dst =
   in
   Bytes.blit src 0 dst 0 t.page_size;
   if t.verify_reads then begin
-    t.simulated_us <- t.simulated_us +. t.crc_cost_us;
-    t.crc_us <- t.crc_us +. t.crc_cost_us;
     Metrics.gauge_add g_simulated_us t.crc_cost_us;
     Metrics.gauge_add g_crc_us t.crc_cost_us;
     if Crc.digest_sub dst ~pos:0 ~len:t.page_size <> crc then begin
-      t.stats.checksum_failures <- t.stats.checksum_failures + 1;
       Metrics.incr c_checksum_failures;
       raise (Fault { page = id; kind = Checksum_mismatch })
     end
@@ -304,9 +253,7 @@ let read ?epoch t id dst =
 let write t id src =
   locked t @@ fun () ->
   check t id "write";
-  t.stats.writes <- t.stats.writes + 1;
   Metrics.incr c_writes;
-  t.simulated_us <- t.simulated_us +. t.write_cost_us;
   Metrics.gauge_add g_simulated_us t.write_cost_us;
   if Hashtbl.mem t.bad id then begin
     Metrics.incr c_bad_page_faults;
@@ -324,21 +271,19 @@ let write t id src =
     | _ ->
         Hashtbl.replace t.versions id
           ((vu, t.crcs.(id), Bytes.copy t.pages.(id)) :: chain);
-        t.stats.versions_saved <- t.stats.versions_saved + 1;
+        t.live <- t.live + 1;
         Metrics.incr c_versions_saved;
-        Metrics.gauge_add g_versions_live 1.0
+        Metrics.gauge_set g_versions_live (float_of_int t.live)
   end;
   t.crcs.(id) <- Crc.digest_sub src ~pos:0 ~len:t.page_size;
   (match t.plan with
   | Some plan when draw plan plan.torn_write_p ->
-      t.stats.torn_writes <- t.stats.torn_writes + 1;
       Metrics.incr c_torn_writes;
       let keep = Prng.int plan.fault_prng t.page_size in
       Bytes.blit src 0 t.pages.(id) 0 keep
   | _ -> Bytes.blit src 0 t.pages.(id) 0 t.page_size);
   (match t.plan with
   | Some plan when draw plan plan.bit_flip_p ->
-      t.stats.bit_flips <- t.stats.bit_flips + 1;
       Metrics.incr c_bit_flips;
       let bit = Prng.int plan.fault_prng (t.page_size * 8) in
       let b = Bytes.get_uint8 t.pages.(id) (bit / 8) in
@@ -372,13 +317,11 @@ let retire t =
       else Hashtbl.replace t.versions id keep)
     updates;
   if !dropped > 0 then begin
-    t.stats.versions_retired <- t.stats.versions_retired + !dropped;
+    t.live <- t.live - !dropped;
     Metrics.add c_versions_retired !dropped;
-    Metrics.gauge_add g_versions_live (-.float_of_int !dropped)
+    Metrics.gauge_set g_versions_live (float_of_int t.live)
   end;
   !dropped
 
 (** Number of page versions currently retained for pinned readers. *)
-let live_versions t =
-  locked t @@ fun () ->
-  Hashtbl.fold (fun _ chain acc -> acc + List.length chain) t.versions 0
+let live_versions t = locked t @@ fun () -> t.live

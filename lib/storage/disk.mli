@@ -9,8 +9,18 @@
     Thread-safety: {!read}, {!write}, {!allocate}, {!mark_bad} and
     {!clear_bad} are serialized by an internal mutex, so one disk can be
     shared by the per-domain buffer pools of [Dolx_exec] readers.
-    Configuration setters ({!set_fault_plan}, {!set_verify_reads}) and
-    {!reset_stats} are for quiescent use between runs. *)
+    Configuration setters ({!set_fault_plan}, {!set_verify_reads}) are
+    for quiescent use between runs.
+
+    I/O accounting lives in {!Dolx_obs.Metrics.default}: counters
+    [disk.reads], [disk.writes], [disk.allocations],
+    [disk.transient_faults], [disk.torn_writes], [disk.bit_flips],
+    [disk.checksum_failures], [disk.bad_page_faults],
+    [disk.versions_saved], [disk.versions_retired]; gauges
+    [disk.simulated_us] (accumulated simulated I/O time), [disk.crc_us]
+    (its share spent verifying checksums) and [disk.versions_live]
+    (set to {!live_versions} of the disk that last saved or retired a
+    version). *)
 
 type fault_kind =
   | Transient_read  (** the read failed but a retry may succeed *)
@@ -39,18 +49,6 @@ val fault_plan :
   Dolx_util.Prng.t ->
   fault_plan
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable allocations : int;
-  mutable transient_faults : int;  (** injected transient read errors *)
-  mutable torn_writes : int;  (** injected torn writes *)
-  mutable bit_flips : int;  (** injected bit flips *)
-  mutable checksum_failures : int;  (** reads rejected by CRC verification *)
-  mutable versions_saved : int;  (** page images retained for pinned epochs *)
-  mutable versions_retired : int;  (** retained images dropped at the horizon *)
-}
-
 type t
 
 (** [read_cost_us]/[write_cost_us]: simulated microseconds charged per
@@ -75,17 +73,6 @@ val page_count : t -> int
     image; writers advance it when they publish an update (see
     {!Epoch}). *)
 val epoch : t -> Epoch.t
-
-val stats : t -> stats
-
-(** Accumulated simulated I/O time in microseconds. *)
-val simulated_us : t -> float
-
-(** Share of {!simulated_us} spent verifying page checksums. *)
-val crc_us : t -> float
-
-(** Zero the counters and the simulated clock. *)
-val reset_stats : t -> unit
 
 (** Install ([Some]) or clear ([None]) the failure schedule.  Pages that
     already went permanently bad stay bad. *)

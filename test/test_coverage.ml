@@ -29,6 +29,7 @@ module Xpath = Dolx_nok.Xpath
 module Decompose = Dolx_nok.Decompose
 module Engine = Dolx_nok.Engine
 module Tag_index = Dolx_index.Tag_index
+module Metrics = Dolx_obs.Metrics
 
 let check = Alcotest.check
 
@@ -138,9 +139,7 @@ let test_pp_smoke () =
   let s = Subject.add_user subjects "s" in
   let modes = Mode.create () in
   let m = Mode.add modes "read" in
-  non_empty (Fmt.str "%a" (Rule.pp subjects modes) (Rule.grant ~subject:s ~mode:m 0));
-  let store = Store.create tree dol in
-  non_empty (Fmt.str "%a" Store.pp_io (Store.io_stats store))
+  non_empty (Fmt.str "%a" (Rule.pp subjects modes) (Rule.grant ~subject:s ~mode:m 0))
 
 let test_store_create_mismatch () =
   let tree = Fixtures.figure2_tree () in
@@ -218,14 +217,31 @@ let test_engine_explain () =
   let dol = Dol.of_bool_array (Array.make (Tree.size tree) true) in
   let store = Store.create tree dol in
   let index = Tag_index.build tree in
-  let s = Engine.explain store index (Xpath.parse "//shelf//title[book]") in
+  let explain q = Engine.explain store index (Xpath.parse q) in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
+  let s = explain "//shelf//title[book]" in
   Alcotest.(check bool) "mentions join" true (contains s "structural join");
-  Alcotest.(check bool) "mentions candidates" true (contains s "index candidates")
+  Alcotest.(check bool) "mentions candidates" true (contains s "index candidates");
+  (* the plan line names the plan the engine runs, checked against the
+     plan counters of an actual run *)
+  List.iter
+    (fun (q, plan_line, path_plans, joins) ->
+      Alcotest.(check bool) (q ^ ": " ^ plan_line) true
+        (contains (explain q) plan_line);
+      Metrics.reset Metrics.default;
+      let r = Engine.query store index q Engine.Insecure in
+      Alcotest.(check int) (q ^ ": summary-path plans run") path_plans
+        (Metrics.counter_value "engine.plan_summary_path");
+      Alcotest.(check int) (q ^ ": joins run") joins r.Engine.joins)
+    [
+      ("//shelf//title[book]", "plan: summary-path", 1, 0);
+      ("/library/shelf//book/title", "plan: summary-path", 1, 0);
+      ("//shelf//*", "plan: 2 segment(s), 1 structural join(s)", 0, 1);
+    ]
 
 let test_insert_subtree_errors () =
   let t = Fixtures.figure2_tree () in

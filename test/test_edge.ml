@@ -19,6 +19,7 @@ module Labeling = Dolx_policy.Labeling
 module Bitset = Dolx_util.Bitset
 module Prng = Dolx_util.Prng
 module Unixfs = Dolx_workload.Unixfs
+module Metrics = Dolx_obs.Metrics
 
 let check = Alcotest.check
 
@@ -64,19 +65,25 @@ let test_engine_under_eviction_pressure () =
   let index = Tag_index.build tree in
   let roomy = Store.create ~page_size:1024 ~pool_capacity:256 tree dol in
   let tiny = Store.create ~page_size:1024 ~pool_capacity:2 tree dol in
+  let roomy_misses = ref 0 and tiny_misses = ref 0 in
+  let answers store misses q sem =
+    let m0 = Metrics.counter_value "pool.misses" in
+    let r = (Engine.query store index q sem).Engine.answers in
+    misses := !misses + Metrics.counter_value "pool.misses" - m0;
+    r
+  in
   List.iter
     (fun (name, q) ->
       List.iter
         (fun sem ->
-          let a = (Engine.query roomy index q sem).Engine.answers in
-          let b = (Engine.query tiny index q sem).Engine.answers in
+          let a = answers roomy roomy_misses q sem in
+          let b = answers tiny tiny_misses q sem in
           check Fixtures.int_list (name ^ " same answers under eviction") a b)
         [ Engine.Insecure; Engine.Secure 0; Engine.Secure_path 0 ])
     Dolx_workload.Xmark.queries;
   (* the tiny pool must have missed more *)
   Alcotest.(check bool) "tiny pool misses more" true
-    ((Store.io_stats tiny).Store.pool_misses
-    > (Store.io_stats roomy).Store.pool_misses)
+    (!tiny_misses > !roomy_misses)
 
 let test_pool_capacity_one () =
   let d = Disk.create ~page_size:64 () in

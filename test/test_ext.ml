@@ -15,6 +15,7 @@ module Labeling = Dolx_policy.Labeling
 module Subject = Dolx_policy.Subject
 module Mode = Dolx_policy.Mode
 module Rule = Dolx_policy.Rule
+module Metrics = Dolx_obs.Metrics
 module Propagate = Dolx_policy.Propagate
 module Prng = Dolx_util.Prng
 module Livelink = Dolx_workload.Livelink
@@ -186,13 +187,15 @@ let test_stacked_std_fewer_checks () =
     List.filter (fun v -> Tree.tag_name tree v = tag) (List.init n Fun.id)
   in
   let alist = nodes_with "a" and dlist = nodes_with "b" in
-  (* measure via fresh stores to isolate counters *)
+  (* measure each variant on a fresh store from a zeroed registry *)
   let store1 = Store.create tree dol in
+  Metrics.reset Metrics.default;
   ignore (Structural_join.secure_stack_tree_desc_naive store1 ~subject:0 ~alist ~dlist);
-  let naive_checks = (Store.io_stats store1).Store.access_checks in
+  let naive_checks = Metrics.counter_value "store.access_checks" in
   let store2 = Store.create tree dol in
+  Metrics.reset Metrics.default;
   ignore (Structural_join.secure_stack_tree_desc store2 ~subject:0 ~alist ~dlist);
-  let stacked_checks = (Store.io_stats store2).Store.access_checks in
+  let stacked_checks = Metrics.counter_value "store.access_checks" in
   Alcotest.(check bool)
     (Printf.sprintf "stacked (%d) <= naive (%d)" stacked_checks naive_checks)
     true

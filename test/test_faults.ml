@@ -9,6 +9,7 @@ module Varint = Dolx_util.Varint
 module Page = Dolx_storage.Page
 module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
+module Metrics = Dolx_obs.Metrics
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Codebook = Dolx_core.Codebook
@@ -75,6 +76,7 @@ let test_varint_read_opt () =
 (* --- disk fault injection --- *)
 
 let test_disk_transient_read () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let pid = Disk.allocate d in
   Disk.set_fault_plan d
@@ -82,29 +84,31 @@ let test_disk_transient_read () =
   Alcotest.check_raises "transient fault"
     (Disk.Fault { page = pid; kind = Disk.Transient_read })
     (fun () -> Disk.read d pid (Page.create 64));
-  check Alcotest.int "counted" 1 (Disk.stats d).Disk.transient_faults;
+  check Alcotest.int "counted" 1 (Metrics.counter_value "disk.transient_faults");
   Disk.set_fault_plan d None;
   Disk.read d pid (Page.create 64)
 
 let test_disk_torn_write_detected () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let pid = Disk.allocate d in
   Disk.set_fault_plan d
     (Some (Disk.fault_plan ~torn_write_p:1.0 (Prng.create 7)));
   Disk.write d pid (Bytes.make 64 '\xAB');
-  check Alcotest.int "torn counted" 1 (Disk.stats d).Disk.torn_writes;
+  check Alcotest.int "torn counted" 1 (Metrics.counter_value "disk.torn_writes");
   Alcotest.check_raises "torn write caught on read"
     (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
     (fun () -> Disk.read d pid (Page.create 64));
   check Alcotest.int "mismatch counted" 1
-    (Disk.stats d).Disk.checksum_failures
+    (Metrics.counter_value "disk.checksum_failures")
 
 let test_disk_bit_flip_detected () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let pid = Disk.allocate d in
   Disk.set_fault_plan d (Some (Disk.fault_plan ~bit_flip_p:1.0 (Prng.create 3)));
   Disk.write d pid (Bytes.make 64 'x');
-  check Alcotest.int "flip counted" 1 (Disk.stats d).Disk.bit_flips;
+  check Alcotest.int "flip counted" 1 (Metrics.counter_value "disk.bit_flips");
   Alcotest.check_raises "bit rot caught on read"
     (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
     (fun () -> Disk.read d pid (Page.create 64));
@@ -145,21 +149,23 @@ let test_disk_crc_accounting () =
   let d = Disk.create ~page_size:64 ~crc_cost_us:2.0 () in
   let pid = Disk.allocate d in
   Disk.write d pid (Bytes.make 64 'a');
-  Disk.reset_stats d;
+  let gauge name = Metrics.gauge_value (Metrics.gauge name) in
+  Metrics.reset Metrics.default;
   for _ = 1 to 10 do
     Disk.read d pid (Page.create 64)
   done;
-  check (Alcotest.float 1e-9) "crc time charged" 20.0 (Disk.crc_us d);
+  check (Alcotest.float 1e-9) "crc time charged" 20.0 (gauge "disk.crc_us");
   Alcotest.(check bool) "crc time inside simulated time" true
-    (Disk.crc_us d < Disk.simulated_us d);
+    (gauge "disk.crc_us" < gauge "disk.simulated_us");
   Disk.set_verify_reads d false;
-  Disk.reset_stats d;
+  Metrics.reset Metrics.default;
   Disk.read d pid (Page.create 64);
-  check (Alcotest.float 1e-9) "no crc time when off" 0.0 (Disk.crc_us d)
+  check (Alcotest.float 1e-9) "no crc time when off" 0.0 (gauge "disk.crc_us")
 
 (* --- buffer pool fault handling --- *)
 
 let test_pool_retry_exhaustion () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let pid = Disk.allocate d in
   Disk.set_fault_plan d
@@ -168,7 +174,7 @@ let test_pool_retry_exhaustion () =
   Alcotest.check_raises "still failing after retries"
     (Disk.Fault { page = pid; kind = Disk.Transient_read })
     (fun () -> ignore (Buffer_pool.get pool pid));
-  check Alcotest.int "3 retries spent" 3 (Buffer_pool.stats pool).Buffer_pool.retries;
+  check Alcotest.int "3 retries spent" 3 (Metrics.counter_value "pool.retries");
   Alcotest.(check bool) "page not resident after failure" false
     (Buffer_pool.resident pool pid);
   (* faults cleared: the same get now succeeds and caches *)
@@ -178,6 +184,7 @@ let test_pool_retry_exhaustion () =
     (Buffer_pool.resident pool pid)
 
 let test_pool_retry_recovers () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let a = Disk.allocate d in
   let b = Disk.allocate d in
@@ -193,7 +200,7 @@ let test_pool_retry_recovers () =
     check Alcotest.char (Printf.sprintf "content %d" i) c (Bytes.get frame 0)
   done;
   Alcotest.(check bool) "some retries happened" true
-    ((Buffer_pool.stats pool).Buffer_pool.retries > 0)
+    (Metrics.counter_value "pool.retries" > 0)
 
 let test_pool_flush_failures_collected () =
   let d = Disk.create ~page_size:64 () in
@@ -226,6 +233,7 @@ let test_pool_flush_failures_collected () =
    fixed order keeps the victim resident (and dirty) when its flush
    faults, so the modification survives until the fault is repaired. *)
 let test_eviction_flush_failure_keeps_dirty_page () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:64 () in
   let p0 = Disk.allocate d in
   let p1 = Disk.allocate d in
@@ -240,9 +248,9 @@ let test_eviction_flush_failure_keeps_dirty_page () =
   | exception Disk.Fault { page; kind = Disk.Bad_page } ->
       check Alcotest.int "fault names the victim" p0 page);
   check Alcotest.int "failure counted" 1
-    (Buffer_pool.stats pool).Buffer_pool.eviction_flush_failures;
+    (Metrics.counter_value "pool.eviction_flush_failures");
   check Alcotest.int "no eviction counted" 0
-    (Buffer_pool.stats pool).Buffer_pool.evictions;
+    (Metrics.counter_value "pool.evictions");
   Alcotest.(check bool) "victim still resident" true
     (Buffer_pool.resident pool p0);
   (* the modified bytes are still served from the pool, not lost *)
@@ -257,7 +265,7 @@ let test_eviction_flush_failure_keeps_dirty_page () =
   (* and eviction proceeds normally again *)
   ignore (Buffer_pool.get pool p1);
   check Alcotest.int "eviction counted" 1
-    (Buffer_pool.stats pool).Buffer_pool.evictions;
+    (Metrics.counter_value "pool.evictions");
   Alcotest.(check bool) "p1 resident" true (Buffer_pool.resident pool p1);
   Alcotest.(check bool) "p0 evicted" false (Buffer_pool.resident pool p0)
 

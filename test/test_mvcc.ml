@@ -19,6 +19,7 @@ module Db_file = Dolx_core.Db_file
 module Group_commit = Dolx_core.Group_commit
 module Disk = Dolx_storage.Disk
 module Epoch = Dolx_storage.Epoch
+module Metrics = Dolx_obs.Metrics
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Exec = Dolx_exec.Exec
@@ -300,6 +301,25 @@ let test_planted_stale_caught () =
   check Alcotest.bool "stack passes again once disarmed" true
     (Diff.check_all p = None)
 
+(* Regression: [disk.versions_live] was kept by deltas, so a registry
+   reset while versions were retained drove it negative once they were
+   retired.  It is now set from the disk's own count. *)
+let test_versions_live_gauge_after_reset () =
+  let store = make_store ~nodes:2000 14 in
+  let n = Tree.size (Store.tree store) in
+  let disk = Store.disk store in
+  let gauge () = Metrics.gauge_value (Metrics.gauge "disk.versions_live") in
+  let pinned = Store.reader store in
+  Update.set_subtree_accessibility store ~subject:0 ~grant:false (n / 3);
+  let live = Disk.live_versions disk in
+  if live = 0 then Alcotest.fail "no page versions retained";
+  check (Alcotest.float 0.0) "gauge = retained versions" (float_of_int live)
+    (gauge ());
+  Metrics.reset Metrics.default;
+  Store.release pinned;
+  check Alcotest.int "all versions retired" 0 (Disk.live_versions disk);
+  check (Alcotest.float 0.0) "gauge back to 0, not negative" 0.0 (gauge ())
+
 let suite =
   [
     Alcotest.test_case "pinned reader isolated from updates" `Quick
@@ -320,4 +340,6 @@ let suite =
       test_teardown_on_exception;
     Alcotest.test_case "planted stale snapshot caught by fuzz checks" `Quick
       test_planted_stale_caught;
+    Alcotest.test_case "versions_live gauge survives a registry reset" `Quick
+      test_versions_live_gauge_after_reset;
   ]

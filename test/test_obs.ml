@@ -1,7 +1,7 @@
 (** Observability layer: metrics registry, histograms vs exact
     percentiles, span tracing with a deterministic clock, JSON
-    round-trips, and counter parity against the legacy
-    [Secure_store.io_stats] record on a Table-1 query run. *)
+    round-trips, and the registry's own I/O invariants on a Table-1
+    query run. *)
 
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
@@ -278,11 +278,13 @@ let test_trace_json () =
         (Option.bind (Json.member "depth" b) Json.to_int)
   | _ -> Alcotest.fail "expected a 2-span array"
 
-(* --- parity with the legacy stats records --- *)
+(* --- I/O invariants of the registry --- *)
 
-(* The registry mirrors every legacy increment, so after resetting both
-   views together a Table-1 query run must leave them equal. *)
-let test_counter_parity_on_table1_run () =
+(* The registry is the only record of the I/O counts, so its counters
+   must agree with each other: every logical touch is a hit or a miss,
+   and every disk read is a miss or the retry of one (no fault plan
+   here, so no retries). *)
+let test_registry_invariants_on_table1_run () =
   let tree = Xmark.generate_nodes ~seed:71 4_000 in
   let params =
     { Dolx_workload.Synth_acl.propagation_ratio = 0.1;
@@ -293,31 +295,22 @@ let test_counter_parity_on_table1_run () =
   let dol = Dol.of_bool_array bools in
   let store = Store.create ~page_size:1024 ~pool_capacity:16 tree dol in
   let index = Tag_index.build tree in
-  Store.reset_stats store;
   Metrics.reset Metrics.default;
   List.iter
     (fun (_, q) ->
       ignore (Engine.query store index q (Engine.Secure 0));
       ignore (Engine.query store index q (Engine.Insecure)))
     Xmark.queries;
-  let io = Store.io_stats store in
   let v name = Metrics.counter_value name in
-  check Alcotest.int "page_touches" io.Store.page_touches (v "pool.touches");
-  check Alcotest.int "pool_hits" io.Store.pool_hits (v "pool.hits");
-  check Alcotest.int "pool_misses" io.Store.pool_misses (v "pool.misses");
-  check Alcotest.int "disk_reads" io.Store.disk_reads (v "disk.reads");
-  check Alcotest.int "disk_writes" io.Store.disk_writes (v "disk.writes");
-  check Alcotest.int "access_checks" io.Store.access_checks
-    (v "store.access_checks");
-  check Alcotest.int "header_skips" io.Store.header_skips
-    (v "store.header_skips");
-  check Alcotest.int "codebook_lookups" io.Store.codebook_lookups
-    (v "store.codebook_lookups");
-  check Alcotest.int "run_answers" io.Store.run_answers
-    (v "store.run_answers");
+  check Alcotest.int "touches = hits + misses" (v "pool.touches")
+    (v "pool.hits" + v "pool.misses");
+  check Alcotest.int "reads = misses + retries" (v "disk.reads")
+    (v "pool.misses" + v "pool.retries");
+  check Alcotest.int "no writes" 0 (v "disk.writes");
   check Alcotest.int "queries counted" (2 * List.length Xmark.queries)
     (v "engine.queries");
-  Alcotest.(check bool) "work happened" true (io.Store.page_touches > 0)
+  Alcotest.(check bool) "misses happened" true (v "pool.misses" > 0);
+  Alcotest.(check bool) "checks happened" true (v "store.access_checks" > 0)
 
 let suite =
   [
@@ -340,6 +333,6 @@ let suite =
     Alcotest.test_case "json parser strictness" `Quick
       test_json_parser_strictness;
     Alcotest.test_case "trace json" `Quick test_trace_json;
-    Alcotest.test_case "counter parity with io_stats" `Quick
-      test_counter_parity_on_table1_run;
+    Alcotest.test_case "registry counter invariants on the query suite" `Quick
+      test_registry_invariants_on_table1_run;
   ]

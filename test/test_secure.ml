@@ -8,7 +8,7 @@ module Store = Dolx_core.Secure_store
 module Update = Dolx_core.Update
 module Nok_layout = Dolx_storage.Nok_layout
 module Buffer_pool = Dolx_storage.Buffer_pool
-module Disk = Dolx_storage.Disk
+module Metrics = Dolx_obs.Metrics
 module Prng = Dolx_util.Prng
 module Engine = Dolx_nok.Engine
 module Tag_index = Dolx_index.Tag_index
@@ -29,12 +29,11 @@ let test_access_check_no_extra_io () =
   (* "Provided that d's disk block has been loaded … the access control
      check for d requires no additional I/O" (§3.3). *)
   let store, tree, bools = make_store 500 1 0.5 in
-  Store.reset_stats store;
   for v = 0 to Tree.size tree - 1 do
     Store.touch store v;
-    let misses_before = (Store.io_stats store).Store.pool_misses in
+    let misses_before = Metrics.counter_value "pool.misses" in
     let got = Store.accessible store ~subject:0 v in
-    let misses_after = (Store.io_stats store).Store.pool_misses in
+    let misses_after = Metrics.counter_value "pool.misses" in
     Alcotest.(check bool) (Printf.sprintf "correct at %d" v) bools.(v) got;
     check Alcotest.int
       (Printf.sprintf "no extra miss at %d" v)
@@ -49,13 +48,13 @@ let test_header_skip_no_io_on_cold_pool () =
   let dol = Dol.of_bool_array (Array.make 400 false) in
   (* run index off: this test exercises the §3.3 header fallback *)
   let store = Store.create ~run_index:false ~page_size:128 tree dol in
-  Store.reset_stats store;
+  Metrics.reset Metrics.default;
   for v = 0 to 399 do
     Alcotest.(check bool) "denied" false (Store.accessible_with_skip store ~subject:0 v)
   done;
-  let s = Store.io_stats store in
-  check Alcotest.int "zero page touches" 0 s.Store.page_touches;
-  check Alcotest.int "all checks skipped" 400 s.Store.header_skips
+  check Alcotest.int "zero page touches" 0 (Metrics.counter_value "pool.touches");
+  check Alcotest.int "all checks skipped" 400
+    (Metrics.counter_value "store.header_skips")
 
 let test_header_skip_correct_on_mixed_pages () =
   let store, tree, bools = make_store 600 3 0.4 in
@@ -71,13 +70,13 @@ let test_update_node_write_through () =
   ignore tree;
   let v = 137 in
   let target = not bools.(v) in
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   let changed = Update.set_node_accessibility store ~subject:0 ~grant:target v in
   Alcotest.(check bool) "changed" true changed;
-  let ds = Disk.stats (Store.disk store) in
   (* a node update touches the node's page and possibly its successor's:
      "a page read followed by a page write" (§3.4) *)
-  Alcotest.(check bool) "at most 3 page writes" true (ds.Disk.writes <= 3);
+  Alcotest.(check bool) "at most 3 page writes" true
+    (Metrics.counter_value "disk.writes" <= 3);
   (* verify through the physical path *)
   Alcotest.(check bool) "new value visible" target (Store.accessible store ~subject:0 v);
   (* all other nodes unchanged *)
@@ -100,17 +99,17 @@ let test_update_subtree_write_through_io_bound () =
     !best
   in
   let size = Tree.subtree_size tree v in
-  Disk.reset_stats (Store.disk store);
+  Metrics.reset Metrics.default;
   Update.set_subtree_accessibility store ~subject:0 ~grant:true v;
-  let ds = Disk.stats (Store.disk store) in
+  let writes = Metrics.counter_value "disk.writes" in
   let pages = Nok_layout.page_count (Store.layout store) in
   (* the paper's bound: ~N/B page I/Os, i.e. proportional to the range of
      pages the subtree spans, never the whole file per node *)
   Alcotest.(check bool)
-    (Printf.sprintf "writes (%d) bounded by pages (%d) + slack" ds.Disk.writes pages)
+    (Printf.sprintf "writes (%d) bounded by pages (%d) + slack" writes pages)
     true
-    (ds.Disk.writes <= pages + 4);
-  Alcotest.(check bool) "far fewer writes than nodes" true (ds.Disk.writes < size);
+    (writes <= pages + 4);
+  Alcotest.(check bool) "far fewer writes than nodes" true (writes < size);
   (* semantics *)
   for u = v to Tree.subtree_end tree v do
     Alcotest.(check bool) (Printf.sprintf "granted %d" u) true
@@ -163,13 +162,13 @@ let test_epsilon_nok_same_misses_as_plain () =
   List.iter
     (fun (name, q) ->
       Buffer_pool.clear (Store.pool store);
-      Store.reset_stats store;
+      Metrics.reset Metrics.default;
       let r_plain = Engine.query store index q Engine.Insecure in
-      let plain = (Store.io_stats store).Store.pool_misses in
+      let plain = Metrics.counter_value "pool.misses" in
       Buffer_pool.clear (Store.pool store);
-      Store.reset_stats store;
+      Metrics.reset Metrics.default;
       let r_sec = Engine.query store index q (Engine.Secure 0) in
-      let secure = (Store.io_stats store).Store.pool_misses in
+      let secure = Metrics.counter_value "pool.misses" in
       check Fixtures.int_list (name ^ " same answers") r_plain.Engine.answers
         r_sec.Engine.answers;
       check Alcotest.int (name ^ " same misses") plain secure)
@@ -191,18 +190,19 @@ let test_skip_saves_io_when_mostly_inaccessible () =
   in
   let index = Tag_index.build tree in
   Buffer_pool.clear (Store.pool store);
-  Store.reset_stats store;
+  Metrics.reset Metrics.default;
   ignore (Engine.query ~options:{ Engine.header_skip = false } store index "//item//emph" (Engine.Secure 0));
-  let without = (Store.io_stats store).Store.page_touches in
+  let without = Metrics.counter_value "pool.touches" in
   Buffer_pool.clear (Store.pool store);
-  Store.reset_stats store;
+  Metrics.reset Metrics.default;
   ignore (Engine.query ~options:{ Engine.header_skip = true } store index "//item//emph" (Engine.Secure 0));
-  let s = Store.io_stats store in
+  let touches = Metrics.counter_value "pool.touches" in
   Alcotest.(check bool)
-    (Printf.sprintf "fewer touches with skip (%d < %d)" s.Store.page_touches without)
+    (Printf.sprintf "fewer touches with skip (%d < %d)" touches without)
     true
-    (s.Store.page_touches < without);
-  Alcotest.(check bool) "skips recorded" true (s.Store.header_skips > 0)
+    (touches < without);
+  Alcotest.(check bool) "skips recorded" true
+    (Metrics.counter_value "store.header_skips" > 0)
 
 let suite =
   [

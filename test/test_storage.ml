@@ -8,6 +8,7 @@ module Nok_layout = Dolx_storage.Nok_layout
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Prng = Dolx_util.Prng
+module Metrics = Dolx_obs.Metrics
 
 let check = Alcotest.check
 
@@ -21,6 +22,7 @@ let test_page_fields () =
   check Alcotest.int "u32" 3_000_000_000 (Page.get_u32 p 3)
 
 let test_disk_counters () =
+  Metrics.reset Metrics.default;
   let d = Disk.create ~page_size:128 () in
   let a = Disk.allocate d in
   let b = Disk.allocate d in
@@ -31,11 +33,11 @@ let test_disk_counters () =
   let buf2 = Page.create 128 in
   Disk.read d a buf2;
   check Alcotest.int "roundtrip" 7 (Bytes.get_uint8 buf2 0);
-  let s = Disk.stats d in
-  check Alcotest.int "reads" 1 s.Disk.reads;
-  check Alcotest.int "writes" 1 s.Disk.writes;
-  check Alcotest.int "allocations" 2 s.Disk.allocations;
-  Alcotest.(check bool) "simulated time advanced" true (Disk.simulated_us d > 0.0)
+  check Alcotest.int "reads" 1 (Metrics.counter_value "disk.reads");
+  check Alcotest.int "writes" 1 (Metrics.counter_value "disk.writes");
+  check Alcotest.int "allocations" 2 (Metrics.counter_value "disk.allocations");
+  Alcotest.(check bool) "simulated time advanced" true
+    (Metrics.gauge_value (Metrics.gauge "disk.simulated_us") > 0.0)
 
 let test_pool_hits_and_eviction () =
   let d = Disk.create ~page_size:64 () in
@@ -46,15 +48,14 @@ let test_pool_hits_and_eviction () =
       Bytes.set_uint8 b 0 i;
       Disk.write d pid b)
     pages;
-  Disk.reset_stats d;
+  Metrics.reset Metrics.default;
   let pool = Buffer_pool.create ~capacity:2 d in
   ignore (Buffer_pool.get pool pages.(0));
   ignore (Buffer_pool.get pool pages.(0));
   ignore (Buffer_pool.get pool pages.(1));
-  let s = Buffer_pool.stats pool in
-  check Alcotest.int "touches" 3 s.Buffer_pool.touches;
-  check Alcotest.int "hits" 1 s.Buffer_pool.hits;
-  check Alcotest.int "misses" 2 s.Buffer_pool.misses;
+  check Alcotest.int "touches" 3 (Metrics.counter_value "pool.touches");
+  check Alcotest.int "hits" 1 (Metrics.counter_value "pool.hits");
+  check Alcotest.int "misses" 2 (Metrics.counter_value "pool.misses");
   (* force eviction of page 0 (LRU) *)
   ignore (Buffer_pool.get pool pages.(2));
   Alcotest.(check bool) "page0 evicted" false (Buffer_pool.resident pool pages.(0));
